@@ -328,6 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=(rdr.LINE, rdr.CIRCLE), default=rdr.LINE)
     parser.add_argument("--upper", action="store_true")
     parser.add_argument("--out", default=None)
+    # argparse takes any word that starts with "-" and is not a plain number
+    # for a flag, so a tot word such as "-1,0" would be refused; no flag of
+    # this grammar starts with a digit, so read every "-<digit>" word as a value.
+    parser._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 

@@ -27,9 +27,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import MixedSizes, OutOfRange, ParseError, TooLarge
+from .sn import _common_n
 from .tito import (
     Tito,
-    _common_n,
     _valid_sets,
     join_tito,
     meet_tito,
@@ -169,15 +169,6 @@ def bottom_dyer(n: int) -> DyerElement:
     return dyer_normal_form(standard_tito(n))
 
 
-def _common_dyer_n(xs: Sequence[DyerElement], n: int | None) -> int:
-    sizes = sorted({x.n for x in xs} | ({n} if n is not None else set()))
-    if len(sizes) > 1:
-        raise MixedSizes(f"mixed periods {sizes}")
-    if not sizes:
-        raise ValueError("no elements and no explicit n")
-    return sizes[0]
-
-
 def dyer_leq(x: DyerElement, y: DyerElement) -> bool:
     """Containment of real inversions only; the diagonal is ignored.
 
@@ -186,7 +177,7 @@ def dyer_leq(x: DyerElement, y: DyerElement) -> bool:
     >>> dyer_leq(bottom_dyer(2), a)
     True
     """
-    size = _common_dyer_n([x, y], None)
+    size = _common_n([x, y], None)
     vx, vy = _valid_sets(x.rep), _valid_sets(y.rep)
     return all(
         vx[i][j].issubset(vy[i][j])
@@ -206,10 +197,10 @@ def dyer_join(xs: Sequence[DyerElement], n: int | None = None) -> DyerElement:
     >>> format_dyer_element(dyer_join([a, b]))
     'dyer:[~2,1]'
     """
-    size = _common_dyer_n(xs, n)
+    size = _common_n(xs, n)
     return dyer_normal_form(join_tito([x.rep for x in xs], size))
 
 
 def dyer_meet(xs: Sequence[DyerElement], n: int | None = None) -> DyerElement:
-    size = _common_dyer_n(xs, n)
+    size = _common_n(xs, n)
     return dyer_normal_form(meet_tito([x.rep for x in xs], size))

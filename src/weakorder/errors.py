@@ -53,7 +53,7 @@ class InvalidWindows(WeakorderError):
 
 
 class InconsistentEncoding(WeakorderError):
-    """A threshold encoding does not describe any periodic total order."""
+    """A matrix of shift sets describes no periodic total order."""
 
 
 class NotALattice(WeakorderError):

@@ -107,12 +107,3 @@ class ZSet:
             if not ok:
                 return False
         return True
-
-    def intersect_upset(self, lo: int) -> ZSet:
-        """Intersection with the tail [lo, oo)."""
-        out: list[_Interval] = []
-        for plo, phi in self.parts:
-            nlo = max(plo, lo)
-            if phi is None or nlo <= phi:
-                out.append((nlo, phi))
-        return ZSet(_normalize(out))

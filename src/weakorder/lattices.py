@@ -13,12 +13,11 @@ import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
-    MixedSizes,
     NotACongruence,
     NotALattice,
     ParseError,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .intervals import ZSet
 from .sn import Permutation, format_perm, inversions
-from .tito import Tito, _close, _tito_from_valid_sets, lt_tito, residue
+from .tito import Tito, _close, _shift_of, _tito_from_valid_sets, lt_tito
 
 MAX_POSET = 10_000
 
@@ -98,18 +97,6 @@ def poset_from_pairs(
     return finite_poset(labels, m)
 
 
-def poset_from_leq(
-    elements: Sequence[str], leq: Callable[[str, str], bool]
-) -> FinitePoset:
-    labels = tuple(elements)
-    n = len(labels)
-    m = np.empty((n, n), dtype=bool)
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
-            m[i, j] = leq(x, y)
-    return finite_poset(labels, m)
-
-
 def cover_matrix(p: FinitePoset) -> np.ndarray:
     """cover[i, j] holds when elements[j] covers elements[i]."""
     strict = p.leq & ~np.eye(len(p), dtype=bool)
@@ -133,18 +120,6 @@ def poset_from_json(text: str) -> FinitePoset:
     except (ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"bad poset JSON: {exc}") from exc
     return poset_from_pairs(elements, covers)
-
-
-def poset_to_dot(p: FinitePoset) -> str:
-    """Hasse diagram in DOT, drawn upward (bottom elements at rank 0)."""
-    cov = cover_matrix(p)
-    lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
-    for label in p.elements:
-        lines.append(f'  "{label}";')
-    for i, j in sorted(zip(*np.nonzero(cov)), key=lambda t: (t[0], t[1])):
-        lines.append(f'  "{p.elements[i]}" -> "{p.elements[j]}";')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +172,8 @@ def check_lattice(p: FinitePoset) -> LatticeReport:
 
 def _tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     report = check_lattice(p)
-    if not report.is_lattice:
+    if report.join is None or report.meet is None:
         raise NotALattice(report.witness or "not a lattice")
-    assert report.join is not None and report.meet is not None
     return report.join, report.meet
 
 
@@ -232,7 +206,10 @@ def canonical_join_rep_fin(p: FinitePoset, x: str) -> frozenset[str] | None:
         joinands.add(int(least))
     items = sorted(joinands)
     for a, b in combinations(items, 2):
-        assert not (p.leq[a, b] or p.leq[b, a]), "joinands must form an antichain"
+        if p.leq[a, b] or p.leq[b, a]:
+            raise NotALattice(
+                f"joinands {p.elements[a]!r}, {p.elements[b]!r} of {x!r} are comparable"
+            )
     return frozenset(p.elements[i] for i in items)
 
 
@@ -498,12 +475,6 @@ def tito_window_word(t: Tito, a: int, b: int) -> tuple[int, ...]:
     """The integers of [a, b] listed bottom-up in the order given by t."""
     order = cmp_to_key(lambda x, y: -1 if lt_tito(t, x, y) else 1)
     return tuple(sorted(range(a, b + 1), key=order))
-
-
-def _shift_of(x: int, y: int, n: int) -> tuple[int, int, int]:
-    # <x, y> as a residue pair with shift: y - (x - i) = j + dn.
-    i, j = residue(x, n), residue(y, n)
-    return i, j, (y - x - (j - i)) // n
 
 
 def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:

@@ -165,7 +165,13 @@ def inversions(p: Permutation) -> PairSet:
 
 def closure_pairs(ps: PairSet) -> PairSet:
     """Close under the chain rule: (a,b) and (b,c) force (a,c)."""
-    have = set(ps.pairs)
+    return PairSet(ps.n, _chain_closure(ps.pairs))
+
+
+def _chain_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    # Shared with the total orders of Z: every forced pair lies inside the
+    # span of the pairs that force it, so the values need no bounds.
+    have = set(pairs)
     by_left: dict[int, set[int]] = {}
     by_right: dict[int, set[int]] = {}
     for a, b in have:
@@ -181,7 +187,7 @@ def closure_pairs(ps: PairSet) -> PairSet:
             by_left.setdefault(pair[0], set()).add(pair[1])
             by_right.setdefault(pair[1], set()).add(pair[0])
             queue.append(pair)
-    return PairSet(ps.n, frozenset(have))
+    return frozenset(have)
 
 
 def interior_pairs(ps: PairSet) -> PairSet:
@@ -210,8 +216,9 @@ def permutation_from_inversions(ps: PairSet) -> Permutation:
     return candidate
 
 
-def _common_n(perms: Sequence[Permutation], n: int | None) -> int:
-    sizes = {p.n for p in perms}
+def _common_n(items: Sequence, n: int | None) -> int:
+    # The one size shared by the items (anything with an ``n``) and n.
+    sizes = {x.n for x in items}
     if n is not None:
         sizes.add(n)
     if len(sizes) > 1:

@@ -11,8 +11,11 @@ with '~': "[2,1,3][~0]".
 
 An inversion is a class of pairs <a,b>, a < b, b before a, up to
 translating both entries by n.  Containment of inversion sets is a
-complete lattice order; joins are computed by a fixpoint on threshold
-encodings and meets through the order-reversing involution.
+complete lattice order.  An order is determined by its shift sets
+V[i][j] = {d : <i, j + dn> is an inversion}, one per pair of residues;
+a join closes the union of the inputs' shift sets under the chain rule
+and reads the windows straight off the closed sets.  Meets go through
+the order-reversing involution.
 
 >>> t = parse_windows("[2,1]", 2)
 >>> lt_tito(t, 2, 1)
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import combinations, permutations, product
 from typing import Iterable, Mapping, Sequence
 
@@ -33,20 +37,17 @@ from .errors import (
     Crossing,
     InconsistentEncoding,
     InvalidWindows,
-    MixedSizes,
     NotAWall,
     NotWidelyGenerated,
     NotWrapped,
     ParseError,
+    TooLarge,
 )
 from .intervals import ZSet
+from .sn import _common_n
 
 WAXING = "waxing"
 WANING = "waning"
-
-ALL_I_FIRST = "all_i_first"
-ALL_J_FIRST = "all_j_first"
-SHIFT_THRESHOLD = "shift_threshold"
 
 
 def residue(x: int, n: int) -> int:
@@ -263,34 +264,28 @@ def format_windows(t: Tito) -> str:
     return "".join(out)
 
 
-def _slide(blk: Block, n: int, up: bool) -> Block:
-    # One slide step; up means the entry sum grows by n.
-    w = blk.window
-    if blk.direction == WAXING:
-        nw = w[1:] + (w[0] + n,) if up else (w[-1] - n,) + w[:-1]
-    else:
-        nw = (w[-1] + n,) + w[:-1] if up else w[1:] + (w[0] - n,)
-    return Block(blk.direction, nw)
-
-
 def normalize_tito(t: Tito) -> Tito:
     """Slide every window to the representative with canonical entry sum.
 
-    For a block of size k the sums in a slide class differ by n, so there
-    is exactly one window with sum in [k(k+1)/2, k(k+1)/2 + n - 1]; a
-    single block covering all residues lands on the window whose sum is
-    n(n+1)/2, the usual normalization for affine permutations.
+    Sliding a waxing window one step moves its first entry x to the end as
+    x + n (a waning window moves its last entry x to the front as x + n), so
+    each step adds n to the entry sum and k steps add n to every entry.  For
+    a block of size k there is exactly one window with sum in
+    [k(k+1)/2, k(k+1)/2 + n - 1], reached by one rotation plus a shift by a
+    multiple of n; a single block covering all residues lands on the window
+    whose sum is n(n+1)/2, the usual normalization for affine permutations.
     """
+    n = t.n
     blocks = []
     for blk in t.blocks:
         k = blk.size
-        lo = k * (k + 1) // 2
-        while sum(blk.window) < lo:
-            blk = _slide(blk, t.n, up=True)
-        while sum(blk.window) > lo + t.n - 1:
-            blk = _slide(blk, t.n, up=False)
-        blocks.append(blk)
-    return Tito(t.n, tuple(blocks))
+        # a waning window slides like the reversed waxing window
+        w = blk.window if blk.direction == WAXING else blk.window[::-1]
+        steps = (k * (k + 1) // 2 + n - 1 - sum(w)) // n
+        q, r = divmod(steps, k)
+        w = tuple(x + q * n for x in w[r:] + tuple(x + n for x in w[:r]))
+        blocks.append(Block(blk.direction, w if blk.direction == WAXING else w[::-1]))
+    return Tito(n, tuple(blocks))
 
 
 def standard_tito(n: int) -> Tito:
@@ -404,280 +399,29 @@ def inversion_indices_upto(t: Tito, bound: int) -> frozenset[ReflectionIndex]:
 
 
 # ---------------------------------------------------------------------------
-# threshold encodings
+# shift sets
 
-# For residues i, j in [1..n] write D(i,j) = {d : j + dn before i}.  Within
-# a waxing block D(i,j) is a down-set (-inf, theta]; within a waning block
-# an up-set [theta, inf); across blocks it is empty or everything.  The pair
-# forms below record exactly this, and the valid-shift sets V(i,j) =
-# D(i,j) restricted to pairs that really are indices (j + dn > i) are what
-# the join fixpoint manipulates.
-
-
-@dataclass(frozen=True, order=True)
-class PairForm:
-    """Relative order of the translates of residue classes i < j.
-
-    all_i_first / all_j_first: the block of one class lies entirely before
-    the block of the other.  shift_threshold: the classes share a block;
-    with orientation waxing, j + dn comes before i exactly when d <= shift,
-    and with orientation waning exactly when d >= shift.
-    """
-
-    i: int
-    j: int
-    form: str
-    shift: int | None = None
-    orientation: str | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.i < self.j:
-            raise InconsistentEncoding(f"bad residue pair ({self.i},{self.j})")
-        if self.form == SHIFT_THRESHOLD:
-            if self.shift is None or self.orientation not in (WAXING, WANING):
-                raise InconsistentEncoding("threshold form needs shift and orientation")
-        elif self.form in (ALL_I_FIRST, ALL_J_FIRST):
-            if self.shift is not None or self.orientation is not None:
-                raise InconsistentEncoding(f"{self.form} carries no shift")
-        else:
-            raise InconsistentEncoding(f"unknown pair form {self.form!r}")
-
-
-@dataclass(frozen=True)
-class ThresholdEncoding:
-    """Finite presentation of an order: direction bits plus pair forms."""
-
-    n: int
-    dir: tuple[str, ...]
-    pairs: tuple[PairForm, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.dir) != self.n:
-            raise InconsistentEncoding("one direction bit per residue class")
-        if any(d not in (WAXING, WANING) for d in self.dir):
-            raise InconsistentEncoding("directions must be waxing or waning")
-        expected = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
-        if [(p.i, p.j) for p in self.pairs] != expected:
-            raise InconsistentEncoding("pairs must list each i < j once, sorted")
-
-
-def encode(t: Tito) -> ThresholdEncoding:
-    """Read the direction bits and pair forms off the block windows."""
-    n = t.n
-    pl = _placements(t)
-    dirs = tuple(pl[r][1] for r in range(1, n + 1))
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            bi, pi = _locate(pl, i, n)
-            bj, pj = _locate(pl, j, n)
-            if bi != bj:
-                form = ALL_I_FIRST if bi < bj else ALL_J_FIRST
-                pairs.append(PairForm(i, j, form))
-                continue
-            k = pl[i][2]
-            if pl[i][1] == WAXING:
-                theta = (pi - pj) // k
-            else:
-                theta = (pj - pi) // k + 1
-            pairs.append(PairForm(i, j, SHIFT_THRESHOLD, theta, pl[i][1]))
-    return ThresholdEncoding(n, dirs, tuple(pairs))
-
-
-def _d_form(pair_map: Mapping[tuple[int, int], PairForm], i: int, j: int):
-    # D(i,j) as a tagged form: ("empty",), ("all",), or (orientation, theta).
-    if i < j:
-        p = pair_map[(i, j)]
-        if p.form == SHIFT_THRESHOLD:
-            return (p.orientation, p.shift)
-        return ("empty",) if p.form == ALL_I_FIRST else ("all",)
-    p = pair_map[(j, i)]
-    if p.form == SHIFT_THRESHOLD:
-        if p.orientation == WAXING:
-            return (WAXING, -p.shift - 1)
-        return (WANING, 1 - p.shift)
-    return ("all",) if p.form == ALL_I_FIRST else ("empty",)
-
-
-def _d_contains(form, d: int) -> bool:
-    if form[0] == "empty":
-        return False
-    if form[0] == "all":
-        return True
-    if form[0] == WAXING:
-        return d <= form[1]
-    return d >= form[1]
-
-
-def decode(e: ThresholdEncoding) -> Tito:
-    """Rebuild the order a threshold encoding describes.
-
-    Residues joined by threshold pairs share a block; all_* pairs order the
-    blocks; window entries come from a successor walk that the thresholds
-    determine.  Every structural failure, and any encoding that survives
-    the walk without describing a translation-invariant order, raises
-    InconsistentEncoding (decode re-encodes its result and compares).
-    """
-    n = e.n
-    pair_map = {(p.i, p.j): p for p in e.pairs}
-    comps = _components(e, pair_map)
-    _check_forms(e, pair_map, comps)
-    order = _component_order(pair_map, comps)
-    blocks = []
-    for comp in order:
-        direction = e.dir[comp[0] - 1]
-        blocks.append(Block(direction, _walk_window(comp, direction, pair_map, e)))
-    try:
-        t = normalize_tito(Tito(n, tuple(blocks)))
-    except InvalidWindows as exc:
-        raise InconsistentEncoding(str(exc)) from exc
-    if encode(t) != e:
-        raise InconsistentEncoding("encoding does not describe a periodic total order")
-    return t
-
-
-def _components(e: ThresholdEncoding, pair_map) -> list[tuple[int, ...]]:
-    # Residues linked by a threshold pair must share a block.
-    parent = list(range(e.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in e.pairs:
-        if p.form == SHIFT_THRESHOLD:
-            parent[find(p.i)] = find(p.j)
-    groups: dict[int, list[int]] = {}
-    for r in range(1, e.n + 1):
-        groups.setdefault(find(r), []).append(r)
-    return [tuple(sorted(g)) for g in groups.values()]
-
-
-def _check_forms(e: ThresholdEncoding, pair_map, comps) -> None:
-    comp_of = {r: ci for ci, comp in enumerate(comps) for r in comp}
-    for comp in comps:
-        d0 = e.dir[comp[0] - 1]
-        for r in comp:
-            if e.dir[r - 1] != d0:
-                raise InconsistentEncoding(
-                    f"directions disagree inside the block of {comp}"
-                )
-    for p in e.pairs:
-        same = comp_of[p.i] == comp_of[p.j]
-        if same and p.form != SHIFT_THRESHOLD:
-            raise InconsistentEncoding(
-                f"classes {p.i},{p.j} share a block but have form {p.form}"
-            )
-        if p.form == SHIFT_THRESHOLD and p.orientation != e.dir[p.i - 1]:
-            raise InconsistentEncoding(
-                f"pair ({p.i},{p.j}) orientation fights the direction bits"
-            )
-
-
-def _component_order(pair_map, comps) -> list[tuple[int, ...]]:
-    comp_of = {r: ci for ci, comp in enumerate(comps) for r in comp}
-    m = len(comps)
-    before = [[False] * m for _ in range(m)]
-    for (i, j), p in pair_map.items():
-        ci, cj = comp_of[i], comp_of[j]
-        if ci == cj:
-            continue
-        if p.form == ALL_I_FIRST:
-            before[ci][cj] = True
-        else:
-            before[cj][ci] = True
-    wins = [sum(row) for row in before]
-    ranked = sorted(range(m), key=lambda ci: -wins[ci])
-    for a in range(m):
-        for b in range(a + 1, m):
-            if not before[ranked[a]][ranked[b]] or before[ranked[b]][ranked[a]]:
-                raise InconsistentEncoding("block order is not a strict total order")
-    return [comps[ci] for ci in ranked]
-
-
-def _walk_window(
-    comp: tuple[int, ...], direction: str, pair_map, e: ThresholdEncoding
-) -> tuple[int, ...]:
-    n = e.n
-    k = len(comp)
-
-    def lt(x: int, y: int) -> bool:
-        rx, ry = residue(x, n), residue(y, n)
-        ux, uy = (x - rx) // n, (y - ry) // n
-        if rx == ry:
-            return ux < uy if direction == WAXING else ux > uy
-        return _d_contains(_d_form(pair_map, ry, rx), ux - uy)
-
-    def successor(x: int) -> int:
-        rx = residue(x, n)
-        u = (x - rx) // n
-        cands = []
-        for j in comp:
-            if j == rx:
-                cands.append(x + n if direction == WAXING else x - n)
-                continue
-            form = _d_form(pair_map, rx, j)
-            if form[0] == WAXING:
-                cands.append(j + (u + form[1] + 1) * n)
-            elif form[0] == WANING:
-                cands.append(j + (u + form[1] - 1) * n)
-            else:
-                raise InconsistentEncoding(
-                    f"classes {rx},{j} share a block without a threshold"
-                )
-        best = cands[0]
-        for c in cands[1:]:
-            if lt(c, best):
-                best = c
-        return best
-
-    seq = [min(comp)]
-    for _ in range(k):
-        seq.append(successor(seq[-1]))
-    window = tuple(seq[:k])
-    closing = seq[0] + n if direction == WAXING else seq[0] - n
-    if seq[k] != closing:
-        raise InconsistentEncoding(f"positions of block {comp} do not close up")
-    if len({residue(x, n) for x in window}) != k:
-        raise InconsistentEncoding(f"walk of block {comp} repeats a residue class")
-    return window
-
-
-def encoding_to_json(e: ThresholdEncoding) -> dict:
-    """A plain-dict form of the encoding (direction bits plus pair table)."""
-    pairs = []
-    for p in e.pairs:
-        row: dict = {"i": p.i, "j": p.j, "form": p.form}
-        if p.form == SHIFT_THRESHOLD:
-            row["shift"] = p.shift
-            row["orientation"] = p.orientation
-        pairs.append(row)
-    return {"n": e.n, "dir": list(e.dir), "pairs": pairs}
-
-
-def encoding_from_json(data: Mapping) -> ThresholdEncoding:
-    pairs = tuple(
-        PairForm(
-            row["i"],
-            row["j"],
-            row["form"],
-            row.get("shift"),
-            row.get("orientation"),
-        )
-        for row in data["pairs"]
-    )
-    return ThresholdEncoding(int(data["n"]), tuple(data["dir"]), pairs)
-
-
-# ---------------------------------------------------------------------------
-# lattice operations
+# For residues i, j in [1..n] the shift set V[i][j] is {d : <i, j + dn> is
+# an inversion}, over the shifts with j + dn > i (d >= 0 when j > i, d >= 1
+# otherwise).  Within a waxing block the translates j + dn that come before
+# i are those with d up to a threshold, so V[i][j] is a finite interval,
+# possibly empty; within a waning block they are those with d from a
+# threshold on, so V[i][j] is a tail.  Across blocks V[i][j] is empty when
+# i's block comes first and the whole tail otherwise, and V[r][r] is a tail
+# exactly when r's block wanes.  A join closes the union of the inputs'
+# shift sets under the chain rule (_close) and reads the windows straight
+# off the closed matrix (_tito_from_valid_sets).
 
 
 def _t_min(i: int, j: int) -> int:
     # Least shift d with j + dn > i when j's class is sampled at j.
     return 0 if j > i else 1
+
+
+def _shift_of(x: int, y: int, n: int) -> tuple[int, int, int]:
+    # <x, y> as a residue pair with shift: y - (x - i) = j + dn.
+    i, j = residue(x, n), residue(y, n)
+    return i, j, (y - x - (j - i)) // n
 
 
 def _valid_sets(t: Tito) -> list[list[ZSet]]:
@@ -723,7 +467,8 @@ def _close(V: list[list[ZSet]], n: int) -> None:
         return hit
 
     promote()
-    for _ in range(64 * (n + 2) * (n + 2) + _span_bound(V, n)):
+    sweeps = 64 * (n + 2) * (n + 2) + _span_bound(V, n)
+    for _ in range(sweeps):
         changed = False
         for j in range(1, n + 1):
             for i in range(1, n + 1):
@@ -740,7 +485,7 @@ def _close(V: list[list[ZSet]], n: int) -> None:
             changed = True
         if not changed:
             return
-    raise AssertionError("shift fixpoint failed to stabilize")
+    raise TooLarge(f"shift-set closure for n = {n} still changing after {sweeps} sweeps")
 
 
 def _span_bound(V: list[list[ZSet]], n: int) -> int:
@@ -753,47 +498,62 @@ def _span_bound(V: list[list[ZSet]], n: int) -> int:
 
 
 def _tito_from_valid_sets(V: list[list[ZSet]], n: int) -> Tito:
-    dirs = tuple(
-        WANING if not V[r][r].is_empty else WAXING for r in range(1, n + 1)
-    )
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            si, sj = V[i][j], V[j][i]
-            if si.is_empty and sj.is_empty:
-                pairs.append(PairForm(i, j, SHIFT_THRESHOLD, -1, WAXING))
-            elif si.is_empty and not sj.is_finite:
-                pairs.append(PairForm(i, j, ALL_I_FIRST))
-            elif sj.is_empty and not si.is_finite:
-                pairs.append(PairForm(i, j, ALL_J_FIRST))
-            elif sj.is_empty and si.is_finite:
-                pairs.append(PairForm(i, j, SHIFT_THRESHOLD, si.max(), WAXING))
-            elif si.is_empty and sj.is_finite:
-                pairs.append(PairForm(i, j, SHIFT_THRESHOLD, -sj.max() - 1, WAXING))
-            elif not si.is_finite and not sj.is_finite:
-                if si.min() >= 1:
-                    theta = si.min()
-                elif sj.min() >= 2:
-                    theta = 1 - sj.min()
-                else:
-                    theta = 0
-                pairs.append(PairForm(i, j, SHIFT_THRESHOLD, theta, WANING))
+    """The order whose shift sets are V; InconsistentEncoding when none is.
+
+    Classes r and s share a block when V[r][s] and V[s][r] are both finite
+    (a waxing block) or both tails (a waning block).  A block comes before
+    each class outside it whose shift set towards the block is a tail, so
+    blocks are ranked by how many classes they come before.  The window of
+    a block with least class r0 runs from r0 up to, not including, the next
+    translate r0 + n (waxing) or r0 - n (waning): one translate per class,
+    placed by the threshold that V[r0][r] and V[r][r0] record.  The result
+    is certified by recomputing its shift sets.
+    """
+
+    def before(x: int, y: int) -> bool:
+        if x > y:
+            return not before(y, x)
+        i, j, d = _shift_of(x, y, n)
+        return d not in V[i][j]
+
+    ranked = []
+    rest = list(range(1, n + 1))
+    while rest:
+        r0 = rest[0]
+        members = [r for r in rest if V[r0][r].is_finite == V[r][r0].is_finite]
+        rest = [r for r in rest if r not in members]
+        window = [r0]
+        for r in members[1:]:
+            a, b = V[r0][r], V[r][r0]
+            # the translate r + dn that lies between r0 and its successor r0 +- n
+            if not a.is_finite:
+                # waning, r + dn before r0 iff d >= theta: a = [max(theta, 0), oo)
+                # and b = [max(1 - theta, 1), oo), so d = theta - 1
+                d = a.min() - b.min()
+            elif not a.is_empty:
+                # waxing, r + dn before r0 iff d <= theta: a = [0, theta] and
+                # b = [1, -theta - 1], so d = theta + 1
+                d = a.max() + 1
+            elif not b.is_empty:
+                d = -b.max()
             else:
-                raise InconsistentEncoding(
-                    f"shift sets of classes {i},{j} fit no block pattern"
-                )
-    return decode(ThresholdEncoding(n, dirs, tuple(pairs)))
+                d = 0  # theta = -1
+            window.append(r + d * n)
+        window.sort(key=cmp_to_key(lambda x, y: -1 if before(x, y) else 1))
+        direction = WAXING if V[r0][r0].is_empty else WANING
+        ahead = sum(not V[s][r0].is_finite for s in range(1, n + 1) if s not in members)
+        ranked.append((ahead, Block(direction, tuple(window))))
+    ranked.sort(key=lambda pair: -pair[0])
+    t = normalize_tito(Tito(n, tuple(blk for _, blk in ranked)))
+    if _valid_sets(t) != V:
+        raise InconsistentEncoding(
+            f"shift sets describe no periodic order; {format_windows(t)} has others"
+        )
+    return t
 
 
-def _common_n(ts: Sequence[Tito], n: int | None) -> int:
-    sizes = {t.n for t in ts}
-    if n is not None:
-        sizes.add(n)
-    if len(sizes) > 1:
-        raise MixedSizes(f"mixed periods {sorted(sizes)}")
-    if not sizes:
-        raise ValueError("need at least one order or an explicit n")
-    return sizes.pop()
+# ---------------------------------------------------------------------------
+# lattice operations
 
 
 def join_tito(ts: Sequence[Tito], n: int | None = None) -> Tito:
@@ -812,9 +572,7 @@ def join_tito(ts: Sequence[Tito], n: int | None = None) -> Tito:
             for j in range(1, size + 1):
                 V[i][j] = V[i][j].union(W[i][j])
     _close(V, size)
-    res = _tito_from_valid_sets(V, size)
-    assert _valid_sets(res) == V, "fixpoint disagrees with its own result"
-    return res
+    return _tito_from_valid_sets(V, size)
 
 
 def reverse_tito(t: Tito) -> Tito:
@@ -1008,10 +766,9 @@ def ji_from_wrapped_arc(p: WrappedArc, n: int) -> Tito:
             cs.append(min(lx))
         elif lx:
             ells.append(max(lx))
-        elif rx:
-            rs.append(min(rx))
         else:
-            raise AssertionError("a span above n covers every residue class")
+            # the span exceeds n, so every other class meets left or right
+            rs.append(min(rx))
     blocks = []
     if ells:
         blocks.append(Block(WAXING, tuple(sorted(ells))))

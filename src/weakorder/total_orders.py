@@ -20,10 +20,10 @@ import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import Crossing, NotBiclosed, ParseError, PreconditionViolated
-from .sn import Arc, arc, arcs_cross, format_arc
+from .sn import Arc, _chain_closure, arc, arcs_cross, format_arc
 
 ZArc = Arc
 
@@ -127,32 +127,11 @@ def invs_from_json(text: str) -> FiniteTotalOrder:
 # joins and meets
 
 
-def _closure_z(pairs: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Chain-rule closure; all forced pairs live inside existing spans."""
-    have = set(pairs)
-    by_left: dict[int, set[int]] = {}
-    by_right: dict[int, set[int]] = {}
-    for a, b in have:
-        by_left.setdefault(a, set()).add(b)
-        by_right.setdefault(b, set()).add(a)
-    queue = list(have)
-    while queue:
-        a, b = queue.pop()
-        new = [(a, c) for c in by_left.get(b, ()) if (a, c) not in have]
-        new += [(z, b) for z in by_right.get(a, ()) if (z, b) not in have]
-        for pair in new:
-            have.add(pair)
-            by_left.setdefault(pair[0], set()).add(pair[1])
-            by_right.setdefault(pair[1], set()).add(pair[0])
-            queue.append(pair)
-    return frozenset(have)
-
-
 def join_tot(ts: Iterable[FiniteTotalOrder]) -> FiniteTotalOrder:
     union: set[tuple[int, int]] = set()
     for t in ts:
         union |= t.invs
-    return finite_total_order(_closure_z(union))
+    return finite_total_order(_chain_closure(union))
 
 
 def meet_tot(ts: Iterable[FiniteTotalOrder]) -> FiniteTotalOrder:
@@ -270,12 +249,11 @@ def find_cover_below(
         raise PreconditionViolated(f"pair {(a, b)} is not increasing")
     if not leq_tot(low, high):
         raise PreconditionViolated("lower order is not below upper order")
-    if (a, b) not in high.invs or (a, b) in low.invs:
+    window = support_window(high)
+    if window is None or (a, b) not in high.invs or (a, b) in low.invs:
         raise PreconditionViolated(
             f"pair {(a, b)} must be inverted above and not below"
         )
-    window = support_window(high)
-    assert window is not None
     lo, hi = window
     between = [z for z in range(lo, hi + 1) if lt_total(high, b, z) and lt_total(high, z, a)]
     segment = set(between) | {a, b}

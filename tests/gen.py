@@ -26,8 +26,13 @@ from weakorder.tito import (
 
 
 def random_tito(rng: random.Random, n: int, lo: int, hi: int) -> Tito:
+    """A random order in canonical window form (see random_windows)."""
+    return normalize_tito(random_windows(rng, n, lo, hi))
+
+
+def random_windows(rng: random.Random, n: int, lo: int, hi: int) -> Tito:
     """A random order: residues split into blocks, directions and window
-    entries drawn independently, then normalized."""
+    entries in [lo, hi] drawn independently, windows left as drawn."""
     residues = list(range(1, n + 1))
     rng.shuffle(residues)
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
@@ -43,7 +48,7 @@ def random_tito(rng: random.Random, n: int, lo: int, hi: int) -> Tito:
             values = [v for v in range(lo, hi + 1) if (v - r) % n == 0]
             window.append(rng.choice(values))
         blocks.append(Block(rng.choice((WAXING, WANING)), tuple(window)))
-    return normalize_tito(Tito(n, tuple(blocks)))
+    return Tito(n, tuple(blocks))
 
 
 def _member(cache: dict, t: Tito, a: int, b: int) -> bool:

@@ -148,6 +148,10 @@ def test_tot_actions(capsys):
     )
     code, _, err = run(capsys, "tot", "join", "3,1")
     assert code == 2 and "full integer window" in err
+    # words that start with a negative value are inputs, not flags
+    assert run(capsys, "tot", "join", "-1,0", "0,-1") == (0, "0,-1\n", "")
+    assert run(capsys, "tot", "join", "--", "-1,0", "0,-1") == (0, "0,-1\n", "")
+    assert run(capsys, "tot", "meet", "0,-2,-1", "-2,0,-1")[:2] == (0, "0,-1\n")
 
 
 def test_lab_check(capsys):
@@ -166,6 +170,8 @@ def test_lab_check(capsys):
     assert out.splitlines()[:2] == ["elements: 12", "covers: 14"]
     code, out, _ = run(capsys, "lab", "check", "--kind", "tot", "--a", "0", "--b", "2")
     assert out.splitlines()[0] == "elements: 6"
+    code, out, _ = run(capsys, "lab", "check", "--kind", "tot", "--a", "-3", "--b", "-1")
+    assert (code, out.splitlines()[0]) == (0, "elements: 6")
 
 
 def test_lab_quotient_json(capsys):

@@ -41,14 +41,10 @@ def test_sumset():
     assert sorted(m for m in range(0, 25) if m in spread) == [0, 10, 20]
 
 
-def test_issubset_and_intersect_upset():
+def test_issubset():
     small = ZSet.interval(2, 3)
     big = ZSet.interval(0, 5)
     assert small.issubset(big) and not big.issubset(small)
     assert ZSet.empty().issubset(small)
     assert ZSet.upset(4).issubset(ZSet.upset(2))
     assert not ZSet.upset(1).issubset(ZSet.interval(1, 100))
-    cut = ZSet.interval(0, 9).intersect_upset(7)
-    assert cut.parts == ((7, 9),)
-    assert ZSet.upset(3).intersect_upset(1).parts == ((3, None),)
-    assert ZSet.interval(0, 2).intersect_upset(5).is_empty

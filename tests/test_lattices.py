@@ -24,7 +24,6 @@ from weakorder.lattices import (
     partition_from_blocks,
     poset_from_json,
     poset_from_pairs,
-    poset_to_dot,
     poset_to_json,
     quotient_lattice,
     tito_quotient,
@@ -220,13 +219,10 @@ def test_tito_quotient_sizes_and_structure():
         tito_quotient(2, 2, 2)
 
 
-def test_poset_json_and_dot():
+def test_poset_json_roundtrip():
     p = weak_order_poset(3)
     back = poset_from_json(poset_to_json(p))
     assert back.elements == p.elements
     assert np.array_equal(back.leq, p.leq)
     with pytest.raises(ParseError):
         poset_from_json("{}")
-    dot = poset_to_dot(p)
-    assert dot.startswith("digraph hasse {")
-    assert '"123" -> "132";' in dot

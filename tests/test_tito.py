@@ -2,22 +2,22 @@ import random
 
 import pytest
 
-from gen import check_join_oracle, check_meet_oracle, random_tito
+from gen import check_join_oracle, check_meet_oracle, random_tito, random_windows
 from weakorder.errors import (
     Crossing,
+    InconsistentEncoding,
     InvalidWindows,
     MixedSizes,
     NotAWall,
     NotWidelyGenerated,
     ParseError,
 )
+from weakorder.intervals import ZSet
 from weakorder.tito import (
+    _tito_from_valid_sets,
+    _valid_sets,
     all_titos,
     canonical_join_rep_tito,
-    decode,
-    encode,
-    encoding_from_json,
-    encoding_to_json,
     flip_tito,
     format_reflection_index,
     format_windows,
@@ -91,6 +91,21 @@ def test_normalize_slides_windows():
     assert format_windows(normalize_tito(_t("[3,6,5][~-64]", 4))) == "[2,1,3][~4]"
     assert format_windows(normalize_tito(_t("[3,4]", 2))) == "[1,2]"
     assert format_windows(normalize_tito(_t("[~0]", 1))) == "[~1]"
+    assert parse_windows("[10000000]", 1) == standard_tito(1)
+    assert format_windows(_t("[~-10000001]", 1)) == "[~1]"
+
+
+def test_normalize_keeps_the_order():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 5):
+        for _ in range(40):
+            t = random_windows(rng, n, -50 * n, 50 * n)
+            norm = normalize_tito(t)
+            span = range(-2 * n, 2 * n)
+            assert all(
+                lt_tito(t, a, b) == lt_tito(norm, a, b) for a in span for b in span
+            )
+            assert normalize_tito(norm) == norm
 
 
 def test_all_titos_counts():
@@ -134,11 +149,17 @@ def test_reflection_index_text():
         parse_reflection_index("1,2", 2)
 
 
-def test_encode_decode_roundtrip():
-    for t in all_titos(2, -4, 8):
-        e = encode(t)
-        assert decode(e) == t
-        assert decode(encoding_from_json(encoding_to_json(e))) == t
+def test_valid_sets_roundtrip():
+    for n, lo, hi in [(2, -4, 8), (3, -2, 5)]:
+        for t in all_titos(n, lo, hi):
+            assert _tito_from_valid_sets(_valid_sets(t), n) == t
+
+
+def test_decoder_rejects_a_gap():
+    V = [[ZSet.empty()] * 3 for _ in range(3)]
+    V[1][2] = ZSet.interval(1, 1)
+    with pytest.raises(InconsistentEncoding, match="no periodic order"):
+        _tito_from_valid_sets(V, 2)
 
 
 def test_residue():
