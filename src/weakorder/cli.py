@@ -13,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import dyer as dy
 from . import lattices as lab
@@ -48,11 +48,7 @@ def _parse_tot(text: str) -> tot.FiniteTotalOrder:
         raise ParseError(f"bad order word: {text!r}") from exc
     if sorted(word) != list(range(min(word), max(word) + 1)):
         raise ParseError(f"order word must list a full integer window: {text!r}")
-    pos = {v: k for k, v in enumerate(word)}
-    invs = [
-        (x, y) for x in word for y in word if x < y and pos[y] < pos[x]
-    ]
-    return tot.finite_total_order(invs)
+    return tot.FiniteTotalOrder(sn.word_inversions(word))
 
 
 def _need_n(args: argparse.Namespace) -> int:
@@ -89,8 +85,15 @@ def _take(args: argparse.Namespace, count: int) -> list[str]:
     return list(args.args)
 
 
-def _arc_order(x) -> tuple:
-    return (x.a, x.b, sorted(x.left), sorted(x.right))
+def _arc_lines(args: argparse.Namespace, arcs: Iterable, fmt: Callable, n: int | None) -> None:
+    # the arcs of any flavor, sorted, as an SVG drawing, a JSON list or text lines
+    ordered = sorted(arcs, key=lambda x: (x.a, x.b, sorted(x.left), sorted(x.right)))
+    if args.format == "svg":
+        _emit(args, rdr.render_arcs(ordered, args.mode, n=n))
+    elif args.format == "json":
+        _lines(args, [json.dumps([fmt(x) for x in ordered])])
+    else:
+        _lines(args, [fmt(x) for x in ordered])
 
 
 def _run_sn(args: argparse.Namespace) -> None:
@@ -121,13 +124,7 @@ def _run_sn(args: argparse.Namespace) -> None:
             arcs = sn.canonical_join_rep_sn(p)
         else:
             arcs = sn.upper_arcs_sn(p) if args.upper else sn.lower_arcs_sn(p)
-        ordered = sorted(arcs, key=_arc_order)
-        if args.format == "svg":
-            _emit(args, rdr.render_arcs(ordered, args.mode, n=p.n))
-        elif args.format == "json":
-            _lines(args, [json.dumps([sn.format_arc(x) for x in ordered])])
-        else:
-            _lines(args, [sn.format_arc(x) for x in ordered])
+        _arc_lines(args, arcs, sn.format_arc, p.n)
     else:
         raise ParseError(f"sn does not support action {args.action!r}")
 
@@ -148,13 +145,7 @@ def _run_tot(args: argparse.Namespace) -> None:
     elif args.action in ("arcs", "cjr"):
         t = _parse_tot(_take(args, 1)[0])
         arcs = tot.canonical_join_rep_tot(t) if args.action == "cjr" else tot.lower_arcs_tot(t)
-        ordered = sorted(arcs, key=_arc_order)
-        if args.format == "svg":
-            _emit(args, rdr.render_arcs(ordered, args.mode, n=args.n))
-        elif args.format == "json":
-            _lines(args, [json.dumps([sn.format_arc(x) for x in ordered])])
-        else:
-            _lines(args, [sn.format_arc(x) for x in ordered])
+        _arc_lines(args, arcs, sn.format_arc, args.n)
     elif args.action == "normalize":
         t = _parse_tot(_take(args, 1)[0])
         _lines(args, [tot.format_tot(t)])
@@ -192,13 +183,7 @@ def _run_tito(args: argparse.Namespace) -> None:
             arcs = ti.canonical_join_rep_tito(t)
         else:
             arcs = ti.lower_wrapped_arcs(t)
-        ordered = sorted(arcs, key=_arc_order)
-        if args.format == "svg":
-            _emit(args, rdr.render_arcs(ordered, args.mode, n=n))
-        elif args.format == "json":
-            _lines(args, [json.dumps([ti.format_wrapped_arc(x) for x in ordered])])
-        else:
-            _lines(args, [ti.format_wrapped_arc(x) for x in ordered])
+        _arc_lines(args, arcs, ti.format_wrapped_arc, n)
     else:
         raise ParseError(f"tito does not support action {args.action!r}")
 

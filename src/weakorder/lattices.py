@@ -5,13 +5,20 @@ The brute-force machinery here serves as the oracle for the structural
 operations elsewhere in the package: weak order posets built from scratch,
 congruences generated by collapsing chosen pairs, and the finite quotients of
 the infinite lattices (orderings of an integer window).
+
+Posets of orderings (S_n and the window quotients) are built by
+``_word_poset`` from the inversion sets ``sn.word_inversions`` reads off
+their words.  The join and meet tables come from one routine,
+``_least_bounds``, run on the order matrix and on its transpose; each
+FinitePoset caches them, so the lattice check, semidistributivity, canonical
+join representations and congruences build each table once per poset.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key, reduce
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +32,7 @@ from .errors import (
     TooLarge,
 )
 from .intervals import ZSet
-from .sn import Permutation, format_perm, inversions
+from .sn import Permutation, format_perm, word_inversions
 from .tito import Tito, _close, _shift_of, _tito_from_valid_sets, lt_tito
 
 MAX_POSET = 10_000
@@ -44,6 +51,16 @@ class FinitePoset:
 
     elements: tuple[str, ...]
     leq: np.ndarray
+
+    @cached_property
+    def joins(self) -> tuple[np.ndarray | None, str | None]:
+        """The join table, or None and the first pair without a join."""
+        return _least_bounds(self, self.leq, "upper", "least")
+
+    @cached_property
+    def meets(self) -> tuple[np.ndarray | None, str | None]:
+        """The meet table: least bounds of the reversed order."""
+        return _least_bounds(self, self.leq.T, "lower", "greatest")
 
     def index(self, label: str) -> int:
         try:
@@ -71,8 +88,7 @@ def finite_poset(elements: Sequence[str], leq: np.ndarray) -> FinitePoset:
         raise ValueError("order is not reflexive")
     if (m & m.T & ~np.eye(n, dtype=bool)).any():
         raise ValueError("order is not antisymmetric")
-    closure = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-    if (closure & ~m).any():
+    if (m @ m & ~m).any():
         raise ValueError("order is not transitive")
     m = m.copy()
     m.setflags(write=False)
@@ -90,18 +106,16 @@ def poset_from_pairs(
     for x, y in pairs:
         m[idx[x], idx[y]] = True
     while True:
-        closure = m | ((m.astype(np.uint8) @ m.astype(np.uint8)) > 0)
+        closure = m | m @ m
         if (closure == m).all():
-            break
+            return finite_poset(labels, m)
         m = closure
-    return finite_poset(labels, m)
 
 
 def cover_matrix(p: FinitePoset) -> np.ndarray:
     """cover[i, j] holds when elements[j] covers elements[i]."""
     strict = p.leq & ~np.eye(len(p), dtype=bool)
-    via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    return strict & ~via
+    return strict & ~(strict @ strict)
 
 
 def poset_to_json(p: FinitePoset) -> str:
@@ -136,38 +150,46 @@ class LatticeReport:
     witness: str | None
 
 
-def _bound_tables(p: FinitePoset) -> tuple[np.ndarray | None, np.ndarray | None, str | None]:
+def _least_bounds(
+    p: FinitePoset, leq: np.ndarray, bound: str, least: str
+) -> tuple[np.ndarray | None, str | None]:
+    # Least upper bounds under ``leq`` (the meets of the reversed order when
+    # given leq.T), or None and the first pair (i <= j) that has none.  Rows
+    # and columns are put in a linear extension, so the first common upper
+    # bound is the least candidate; it is least exactly when the common upper
+    # bounds are no more than the elements above it.
     n = len(p)
-    order = np.argsort(p.leq.sum(axis=0), kind="stable")  # linear extension
-    rank_of = np.empty(n, dtype=int)
-    rank_of[order] = np.arange(n)
-    join = np.full((n, n), -1, dtype=int)
-    meet = np.full((n, n), -1, dtype=int)
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    up = leq[np.ix_(order, order)]
+    above = up.sum(axis=1)
+    where = np.empty(n, dtype=int)
+    where[order] = np.arange(n)
+    table = np.empty((n, n), dtype=int)
     for i in range(n):
-        for j in range(i, n):
-            ub = p.leq[i] & p.leq[j]
-            if not ub.any():
-                return None, None, f"no upper bound for {p.elements[i]!r}, {p.elements[j]!r}"
-            cand = order[np.argmax(ub[order])]
-            if (ub & ~p.leq[cand]).any():
-                return None, None, f"no least upper bound for {p.elements[i]!r}, {p.elements[j]!r}"
-            join[i, j] = join[j, i] = cand
-            lb = p.leq[:, i] & p.leq[:, j]
-            if not lb.any():
-                return None, None, f"no lower bound for {p.elements[i]!r}, {p.elements[j]!r}"
-            cand = order[::-1][np.argmax(lb[order[::-1]])]
-            if (lb & ~p.leq[:, cand]).any():
-                return None, None, f"no greatest lower bound for {p.elements[i]!r}, {p.elements[j]!r}"
-            meet[i, j] = meet[j, i] = cand
-    return join, meet, None
+        common = up[where[i]] & up[where[i:]]
+        first = common.argmax(axis=1)
+        has = common[np.arange(n - i), first]
+        is_least = has & (common.sum(axis=1) == above[first])
+        if not is_least.all():
+            j = i + int(np.argmin(is_least))
+            kind = f"{least} {bound}" if has[j - i] else bound
+            return None, f"no {kind} bound for {p.elements[i]!r}, {p.elements[j]!r}"
+        table[i, i:] = table[i:, i] = order[first]
+    # cached on the poset and shared by every caller, so read-only like leq
+    table.setflags(write=False)
+    return table, None
 
 
 def check_lattice(p: FinitePoset) -> LatticeReport:
     """Verify every pair has a least upper and greatest lower bound."""
     if len(p) > MAX_POSET:
         raise TooLarge(f"{len(p)} elements (limit {MAX_POSET})")
-    join, meet, witness = _bound_tables(p)
-    return LatticeReport(witness is None, join, meet, witness)
+    join, witness = p.joins
+    if witness is None:
+        meet, witness = p.meets
+    if witness is not None:
+        return LatticeReport(False, None, None, witness)
+    return LatticeReport(True, join, meet, None)
 
 
 def _tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +219,7 @@ def canonical_join_rep_fin(p: FinitePoset, x: str) -> frozenset[str] | None:
     cov = cover_matrix(p)
     joinands: set[int] = set()
     for yi in np.nonzero(cov[:, xi])[0]:
-        members = np.nonzero(join[:, yi] == xi)[0]
-        least = members[0]
-        for z in members[1:]:
-            least = meet[least, z]
+        least = _meet_all(meet, np.nonzero(join[:, yi] == xi)[0])
         if join[least, yi] != xi:
             return None
         joinands.add(int(least))
@@ -213,36 +232,31 @@ def canonical_join_rep_fin(p: FinitePoset, x: str) -> frozenset[str] | None:
     return frozenset(p.elements[i] for i in items)
 
 
+def _meet_all(meet: np.ndarray, members: np.ndarray) -> int:
+    return reduce(lambda m, z: meet[m, z], members)
+
+
+def _semidistributive(join: np.ndarray, meet: np.ndarray) -> bool:
+    # For each x and t, the y with x v y = t must be closed under meets:
+    # their meet m has x v m = t.  Swapping the tables checks the dual law.
+    for x in range(len(join)):
+        col = join[:, x]
+        for t in np.unique(col):
+            if join[_meet_all(meet, np.nonzero(col == t)[0]), x] != t:
+                return False
+    return True
+
+
 def is_join_semidistributive_fin(p: FinitePoset) -> bool:
     """x v y = x v z implies x v (y ^ z) = x v y, checked over all triples."""
     join, meet = _tables(p)
-    n = len(p)
-    for x in range(n):
-        col = join[:, x]
-        for t in np.unique(col):
-            members = np.nonzero(col == t)[0]
-            m = members[0]
-            for z in members[1:]:
-                m = meet[m, z]
-            if join[m, x] != t:
-                return False
-    return True
+    return _semidistributive(join, meet)
 
 
 def is_meet_semidistributive_fin(p: FinitePoset) -> bool:
     """Dual of is_join_semidistributive_fin."""
     join, meet = _tables(p)
-    n = len(p)
-    for x in range(n):
-        col = meet[:, x]
-        for t in np.unique(col):
-            members = np.nonzero(col == t)[0]
-            m = members[0]
-            for z in members[1:]:
-                m = join[m, z]
-            if meet[m, x] != t:
-                return False
-    return True
+    return _semidistributive(meet, join)
 
 
 def is_semidistributive_fin(p: FinitePoset) -> bool:
@@ -286,13 +300,10 @@ def _class_ids(p: FinitePoset, part: Partition) -> np.ndarray:
     return np.array([part.class_of[label] for label in p.elements], dtype=int)
 
 
-def congruence_failure(p: FinitePoset, part: Partition) -> str | None:
-    """None when ``part`` is a lattice congruence, else the violated condition.
-
-    Checks the order-theoretic characterization: every class is an interval,
-    and the maps sending an element to the bottom (resp. top) of its class are
-    order-preserving.
-    """
+def _class_bottoms(p: FinitePoset, part: Partition) -> tuple[np.ndarray, str | None]:
+    # The bottom of each element's class, checked against the order-theoretic
+    # characterization of a lattice congruence: every class is an interval,
+    # and the maps to the bottom and to the top of the class preserve order.
     _tables(p)
     ids = _class_ids(p, part)
     n = len(p)
@@ -304,20 +315,27 @@ def congruence_failure(p: FinitePoset, part: Partition) -> str | None:
         bottoms = members[inside.sum(axis=1) == len(members)]
         tops = members[inside.sum(axis=0) == len(members)]
         if len(bottoms) != 1 or len(tops) != 1:
-            return f"class of {p.elements[members[0]]!r} is not an interval"
+            return down, f"class of {p.elements[members[0]]!r} is not an interval"
         lo, hi = bottoms[0], tops[0]
         span = np.nonzero(p.leq[lo] & p.leq[:, hi])[0]
         if not (ids[span] == cid).all():
-            return f"class of {p.elements[lo]!r} is not an interval"
+            return down, f"class of {p.elements[lo]!r} is not an interval"
         down[members] = lo
         up[members] = hi
     for i in range(n):
         above = np.nonzero(p.leq[i])[0]
         if not p.leq[down[i], down[above]].all():
-            return "bottom-of-class map is not order-preserving"
+            return down, "bottom-of-class map is not order-preserving"
         if not p.leq[up[i], up[above]].all():
-            return "top-of-class map is not order-preserving"
-    return None
+            return down, "top-of-class map is not order-preserving"
+    return down, None
+
+
+def congruence_failure(p: FinitePoset, part: Partition) -> str | None:
+    """None when ``part`` is a lattice congruence, else the violated condition:
+    a class that is not an interval, or a class-bottom or class-top map that
+    is not order-preserving."""
+    return _class_bottoms(p, part)[1]
 
 
 def is_congruence(p: FinitePoset, part: Partition) -> bool:
@@ -326,19 +344,11 @@ def is_congruence(p: FinitePoset, part: Partition) -> bool:
 
 def quotient_lattice(p: FinitePoset, part: Partition) -> FinitePoset:
     """The quotient lattice; classes are labeled by their bottom elements."""
-    failure = congruence_failure(p, part)
+    down, failure = _class_bottoms(p, part)
     if failure is not None:
         raise NotACongruence(failure)
-    ids = _class_ids(p, part)
-    reps: dict[int, int] = {}
-    for cid in np.unique(ids):
-        members = np.nonzero(ids == cid)[0]
-        inside = p.leq[np.ix_(members, members)]
-        reps[int(cid)] = int(members[inside.sum(axis=1) == len(members)][0])
-    order = sorted(reps.values())
-    labels = [p.elements[i] for i in order]
-    m = p.leq[np.ix_(order, order)]
-    return finite_poset(labels, m)
+    order = np.unique(down)
+    return finite_poset([p.elements[i] for i in order], p.leq[np.ix_(order, order)])
 
 
 def congruence_generated_by(
@@ -391,13 +401,17 @@ def congruence_generated_by(
 # weak order posets and window quotients
 
 
-def _containment_poset(labels: Sequence[str], masks: Sequence[int]) -> FinitePoset:
-    n = len(labels)
-    m = np.empty((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = masks[i] & ~masks[j] == 0
-    return finite_poset(labels, m)
+def _word_poset(
+    values: Sequence[int], words: Sequence[Sequence[int]], labels: Sequence[str]
+) -> FinitePoset:
+    """Orderings of ``values`` under containment of their inversion sets."""
+    bit = {pair: 1 << k for k, pair in enumerate(combinations(values, 2))}
+    masks = np.array([sum(bit[p] for p in word_inversions(w)) for w in words], dtype=np.int64)
+    # one column at a time, so no temporary is larger than the boolean matrix
+    leq = np.empty((len(masks), len(masks)), dtype=bool)
+    for j, mask in enumerate(masks):
+        leq[:, j] = (masks & ~mask) == 0
+    return finite_poset(labels, leq)
 
 
 def weak_order_poset(n: int) -> FinitePoset:
@@ -406,19 +420,8 @@ def weak_order_poset(n: int) -> FinitePoset:
         raise TooLarge(f"weak order on S_{n} has {n}! elements")
     if n < 1:
         raise PreconditionViolated("need n >= 1")
-    pair_index = {
-        pair: k for k, pair in enumerate(combinations(range(1, n + 1), 2))
-    }
-    labels = []
-    masks = []
-    for word in permutations(range(1, n + 1)):
-        perm = Permutation(n, word)
-        labels.append(format_perm(perm))
-        mask = 0
-        for pair in inversions(perm).pairs:
-            mask |= 1 << pair_index[pair]
-        masks.append(mask)
-    return _containment_poset(labels, masks)
+    words = list(permutations(range(1, n + 1)))
+    return _word_poset(range(1, n + 1), words, [format_perm(Permutation(n, w)) for w in words])
 
 
 def window_word_label(word: Sequence[int]) -> str:
@@ -432,26 +435,17 @@ def tot_quotient(a: int, b: int) -> FinitePoset:
     the congruence that only remembers which pairs inside [a, b] are inverted;
     it is isomorphic to the weak order on S_{b-a+1}.
     """
+    values = _window(a, b)
+    words = list(permutations(values))
+    return _word_poset(values, words, [window_word_label(w) for w in words])
+
+
+def _window(a: int, b: int) -> range:
     if a >= b:
         raise PreconditionViolated(f"need a < b, got [{a}, {b}]")
-    width = b - a + 1
-    if width > 7:
-        raise TooLarge(f"window [{a}, {b}] has {width}! orderings")
-    values = list(range(a, b + 1))
-    pair_index = {pair: k for k, pair in enumerate(combinations(values, 2))}
-    labels = []
-    masks = []
-    for word in permutations(values):
-        labels.append(window_word_label(word))
-        mask = 0
-        seen: set[int] = set()
-        for v in word:
-            for u in seen:
-                if u > v:
-                    mask |= 1 << pair_index[(v, u)]
-            seen.add(v)
-        masks.append(mask)
-    return _containment_poset(labels, masks)
+    if b - a + 1 > 7:
+        raise TooLarge(f"window [{a}, {b}] has {b - a + 1}! orderings")
+    return range(a, b + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,35 +482,23 @@ def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:
     their window inversions, which agrees with the order on the minimal
     representatives.
     """
-    if a >= b:
-        raise PreconditionViolated(f"need a < b, got [{a}, {b}]")
-    width = b - a + 1
-    if width > 7:
-        raise TooLarge(f"window [{a}, {b}] has {width}! orderings")
-    values = list(range(a, b + 1))
-    window_pairs = list(combinations(values, 2))
-    pair_index = {pair: k for k, pair in enumerate(window_pairs)}
-    labels: list[str] = []
-    masks: list[int] = []
+    values = _window(a, b)
+    if n < 1:
+        raise PreconditionViolated("need n >= 1")
+    if n > 7:
+        raise TooLarge(f"period {n} (limit 7)")
+    shifts = [(x, y, _shift_of(x, y, n)) for x, y in combinations(values, 2)]
+    words: list[tuple[int, ...]] = []
     reps: dict[str, Tito] = {}
     for word in permutations(values):
-        pos = {v: k for k, v in enumerate(word)}
-        forced = {(x, y) for x, y in window_pairs if pos[y] < pos[x]}
+        forced = word_inversions(word)
         V = [[ZSet.empty()] * (n + 1) for _ in range(n + 1)]
         for x, y in forced:
             i, j, d = _shift_of(x, y, n)
             V[i][j] = V[i][j].union(ZSet.interval(d, d))
         _close(V, n)
-        extendable = True
-        for x, y in window_pairs:
-            i, j, d = _shift_of(x, y, n)
-            if (d in V[i][j]) != ((x, y) in forced):
-                extendable = False
-                break
-        if not extendable:
+        if any((d in V[i][j]) != ((x, y) in forced) for x, y, (i, j, d) in shifts):
             continue
-        label = window_word_label(word)
-        labels.append(label)
-        masks.append(sum(1 << pair_index[p] for p in forced))
-        reps[label] = _tito_from_valid_sets(V, n)
-    return TitoQuotient(n, a, b, _containment_poset(labels, masks), reps)
+        words.append(word)
+        reps[window_word_label(word)] = _tito_from_valid_sets(V, n)
+    return TitoQuotient(n, a, b, _word_poset(values, words, list(reps)), reps)

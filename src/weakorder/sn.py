@@ -14,6 +14,12 @@ irredundant join representation that every other one refines.  Collections
 of pairwise non-crossing arcs correspond bijectively to permutations this
 way.
 
+Words are the one primitive, here and for the total orders of Z and the
+lattice lab: ``word_inversions`` reads the inversion set off any word of
+distinct integers, ``word_from_inversions`` sorts values back into the word
+and certifies the round trip, ``interior`` gives a meet's pair set, and
+``word_walls`` and ``word_arcs`` read walls and arcs off adjacent entries.
+
 >>> p = perm_of([2, 1, 3])
 >>> sorted(inversions(p).pairs)
 [(1, 2)]
@@ -56,13 +62,6 @@ class Permutation:
             range(1, self.n + 1)
         ):
             raise ValueError(f"not a permutation of [1..{self.n}]: {self.one_line}")
-
-    def position(self, value: int) -> int:
-        """0-based position of ``value`` in the one-line word."""
-        return self.one_line.index(value)
-
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.one_line)}
 
 
 def perm_of(values: Iterable[int]) -> Permutation:
@@ -150,17 +149,70 @@ def pairs_from_json(text: str, n: int) -> PairSet:
     return pairset(n, pairs)
 
 
+def word_inversions(word: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """Pairs (a, b), a < b, with b placed left of a; any distinct integers.
+
+    >>> sorted(word_inversions((0, 2, -1)))
+    [(-1, 0), (-1, 2)]
+    """
+    return frozenset((v, u) for i, u in enumerate(word) for v in word[i + 1 :] if v < u)
+
+
+def _sort_by_inversions(
+    values: Iterable[int], pairs: frozenset[tuple[int, int]]
+) -> tuple[int, ...]:
+    # values in the order the pairs describe; no check that they describe one
+
+    def earlier(a: int, b: int) -> int:
+        if a < b:
+            return 1 if (a, b) in pairs else -1
+        return -1 if (b, a) in pairs else 1
+
+    return tuple(sorted(values, key=cmp_to_key(earlier)))
+
+
+def word_from_inversions(
+    values: Iterable[int], pairs: frozenset[tuple[int, int]]
+) -> tuple[int, ...]:
+    """The ordering of ``values`` whose inversion set is ``pairs``.
+
+    Sorts by the order the pairs describe, then certifies the round trip:
+    raises NotBiclosed when no ordering has that inversion set, i.e. when the
+    set is not closed, its complement is not closed, or a pair leaves
+    ``values``.
+    """
+    word = _sort_by_inversions(values, pairs)
+    if word_inversions(word) != pairs:
+        raise NotBiclosed(f"not an inversion set: {sorted(pairs)}")
+    return word
+
+
+def interior(
+    values: Iterable[int], pairs: frozenset[tuple[int, int]]
+) -> frozenset[tuple[int, int]]:
+    """The largest subset of ``pairs`` whose complement among the pairs of
+    ``values`` is chain-closed: all pairs minus the closure of the rest, i.e.
+    the pairs (a, b) that no chain a < z1 < ... < b of other pairs joins."""
+    ordered = sorted(values)
+    at = {v: k for k, v in enumerate(ordered)}
+    # reach[k]: bitmask of the positions a chain of other pairs reaches from
+    # ordered[k], built from the top down
+    reach = [0] * len(ordered)
+    for k in range(len(ordered) - 2, -1, -1):
+        a = ordered[k]
+        for m in range(k + 1, len(ordered)):
+            if (a, ordered[m]) not in pairs:
+                reach[k] |= reach[m] | 1 << m
+    return frozenset((a, b) for a, b in pairs if not reach[at[a]] >> at[b] & 1)
+
+
 def inversions(p: Permutation) -> PairSet:
     """The inversion set N(p): pairs (a, b), a < b, with b left of a.
 
     >>> sorted(inversions(parse_perm("51423")).pairs)
     [(1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
     """
-    pos = p.positions()
-    inv = frozenset(
-        (a, b) for a, b in combinations(range(1, p.n + 1), 2) if pos[b] < pos[a]
-    )
-    return PairSet(p.n, inv)
+    return PairSet(p.n, word_inversions(p.one_line))
 
 
 def closure_pairs(ps: PairSet) -> PairSet:
@@ -192,28 +244,12 @@ def _chain_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int
 
 def interior_pairs(ps: PairSet) -> PairSet:
     """The largest subset of ``ps`` whose complement is chain-closed."""
-    complement = all_pairs(ps.n) - ps.pairs
-    closed = closure_pairs(PairSet(ps.n, frozenset(complement))).pairs
-    return PairSet(ps.n, all_pairs(ps.n) - closed)
+    return PairSet(ps.n, interior(range(1, ps.n + 1), ps.pairs))
 
 
 def permutation_from_inversions(ps: PairSet) -> Permutation:
-    """The permutation whose inversion set is ``ps``.
-
-    Raises NotBiclosed when no permutation has that inversion set, i.e. when
-    the set is not closed or its complement is not closed.
-    """
-
-    def earlier(a: int, b: int) -> int:
-        if a < b:
-            return 1 if (a, b) in ps.pairs else -1
-        return -1 if (b, a) in ps.pairs else 1
-
-    word = sorted(range(1, ps.n + 1), key=cmp_to_key(earlier))
-    candidate = perm_of(word)
-    if inversions(candidate).pairs != ps.pairs:
-        raise NotBiclosed(f"not an inversion set: {sorted(ps.pairs)}")
-    return candidate
+    """The permutation whose inversion set is ``ps``; NotBiclosed when none."""
+    return Permutation(ps.n, word_from_inversions(range(1, ps.n + 1), ps.pairs))
 
 
 def _common_n(items: Sequence, n: int | None) -> int:
@@ -258,25 +294,25 @@ def leq_sn(p: Permutation, q: Permutation) -> bool:
 # walls and arcs
 
 
+def word_walls(word: Sequence[int], upper: bool = False) -> frozenset[tuple[int, int]]:
+    """Adjacent pairs (a, b), a < b, of a word: the descents (b immediately
+    left of a), or with ``upper`` the ascents (a immediately left of b)."""
+    return frozenset(
+        (min(u, v), max(u, v)) for u, v in zip(word, word[1:]) if (u < v) == upper
+    )
+
+
 def lower_walls_sn(p: Permutation) -> PairSet:
     """Pairs (a, b), a < b, with a placed immediately right of b.
 
     Removing such a pair from the inversion set is exactly a downward cover.
     """
-    walls = set()
-    for u, v in zip(p.one_line, p.one_line[1:]):
-        if v < u:
-            walls.add((v, u))
-    return PairSet(p.n, frozenset(walls))
+    return PairSet(p.n, word_walls(p.one_line))
 
 
 def upper_walls_sn(p: Permutation) -> PairSet:
     """Pairs (a, b), a < b, with a placed immediately left of b (upward covers)."""
-    walls = set()
-    for u, v in zip(p.one_line, p.one_line[1:]):
-        if u < v:
-            walls.add((u, v))
-    return PairSet(p.n, frozenset(walls))
+    return PairSet(p.n, word_walls(p.one_line, upper=True))
 
 
 @dataclass(frozen=True)
@@ -326,14 +362,15 @@ def parse_arc(text: str) -> Arc:
     return parsed
 
 
-def _arcs_for_walls(p: Permutation, walls: PairSet) -> frozenset[Arc]:
-    pos = p.positions()
+def word_arcs(word: Sequence[int], walls: Iterable[tuple[int, int]]) -> frozenset[Arc]:
+    """One arc per wall (a, b) of the word: the values strictly between a and
+    b that sit left of the adjacent pair go left, the others right."""
+    where = {v: i for i, v in enumerate(word)}
     out = []
-    for a, b in walls.pairs:
-        cut = min(pos[a], pos[b])
-        left = frozenset(m for m in range(a + 1, b) if pos[m] < cut)
-        right = frozenset(m for m in range(a + 1, b) if pos[m] > cut)
-        out.append(Arc(a, b, left, right))
+    for a, b in walls:
+        cut = min(where[a], where[b])
+        left = frozenset(m for m in range(a + 1, b) if where[m] < cut)
+        out.append(Arc(a, b, left, frozenset(range(a + 1, b)) - left))
     return frozenset(out)
 
 
@@ -343,12 +380,12 @@ def lower_arcs_sn(p: Permutation) -> frozenset[Arc]:
     >>> sorted(format_arc(a) for a in lower_arcs_sn(parse_perm("25143")))
     ['(1,5|2|3 4)', '(3,4||)']
     """
-    return _arcs_for_walls(p, lower_walls_sn(p))
+    return word_arcs(p.one_line, word_walls(p.one_line))
 
 
 def upper_arcs_sn(p: Permutation) -> frozenset[Arc]:
     """Arcs of the upper walls, decorated the same way."""
-    return _arcs_for_walls(p, upper_walls_sn(p))
+    return word_arcs(p.one_line, word_walls(p.one_line, upper=True))
 
 
 def canonical_join_rep_sn(p: Permutation) -> frozenset[Arc]:
@@ -369,23 +406,26 @@ def ji_from_arc_sn(x: Arc, n: int) -> Permutation:
     """
     if not 1 <= x.a < x.b <= n:
         raise OutOfRange(f"arc {format_arc(x)} does not fit in [1..{n}]")
-    word = (
-        list(range(1, x.a))
-        + sorted(x.left)
-        + [x.b, x.a]
-        + sorted(x.right)
-        + list(range(x.b + 1, n + 1))
-    )
-    return perm_of(word)
+    return perm_of(list(range(1, x.a)) + arc_word(x) + list(range(x.b + 1, n + 1)))
 
 
-def permutation_from_noncrossing(arcs: Iterable[Arc], n: int) -> Permutation:
-    """Inverse of the lower-arc map on non-crossing collections."""
+def arc_word(x: Arc) -> list[int]:
+    """The values a..b ordered left, b, a, right: the join-irreducible of x."""
+    return sorted(x.left) + [x.b, x.a] + sorted(x.right)
+
+
+def noncrossing(arcs: Iterable[Arc]) -> list[Arc]:
+    """The arcs in a fixed order; Crossing when two of them cross."""
     items = sorted(arcs, key=_arc_key)
     for x, y in combinations(items, 2):
         if arcs_cross(x, y):
             raise Crossing(f"arcs cross: {format_arc(x)} and {format_arc(y)}")
-    return join_sn([ji_from_arc_sn(x, n) for x in items], n=n)
+    return items
+
+
+def permutation_from_noncrossing(arcs: Iterable[Arc], n: int) -> Permutation:
+    """Inverse of the lower-arc map on non-crossing collections."""
+    return join_sn([ji_from_arc_sn(x, n) for x in noncrossing(arcs)], n=n)
 
 
 def _arc_key(x: Arc) -> tuple:

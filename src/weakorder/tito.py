@@ -662,23 +662,16 @@ def flip_tito(t: Tito, w: ReflectionIndex) -> Tito:
     return normalize_tito(Tito(n, tuple(blocks)))
 
 
+def _crosses_translate(w1: WrappedArc, w2: WrappedArc, shift: int) -> bool:
+    # w1 against the translate of w2 by shift
+    moved = [frozenset(x + shift for x in side) for side in (w2.left, w2.right)]
+    return tuples_cross(w1.a, w1.b, w1.left, w1.right, w2.a + shift, w2.b + shift, *moved)
+
+
 def is_wrapped_arc(p: WrappedArc, n: int) -> bool:
-    """True when no two translates of the arc cross each other."""
-    k = 1
-    while k * n < p.b - p.a:
-        if tuples_cross(
-            p.a,
-            p.b,
-            p.left,
-            p.right,
-            p.a + k * n,
-            p.b + k * n,
-            frozenset(x + k * n for x in p.left),
-            frozenset(x + k * n for x in p.right),
-        ):
-            return False
-        k += 1
-    return True
+    """True when no two translates of the arc cross each other; only shifts
+    k n below the span b - a can make the arc meet a translate."""
+    return not any(_crosses_translate(p, p, k * n) for k in range(1, (p.b - p.a - 1) // n + 1))
 
 
 def wrapped_cross(w1: WrappedArc, w2: WrappedArc, n: int) -> bool:
@@ -690,21 +683,9 @@ def wrapped_cross(w1: WrappedArc, w2: WrappedArc, n: int) -> bool:
     """
     lo = -((w2.b - w1.a) // n)
     hi = (w1.b - w2.a) // n
-    for k in range(lo, hi + 1):
-        if k == 0 and w1 == w2:
-            continue
-        if tuples_cross(
-            w1.a,
-            w1.b,
-            w1.left,
-            w1.right,
-            w2.a + k * n,
-            w2.b + k * n,
-            frozenset(x + k * n for x in w2.left),
-            frozenset(x + k * n for x in w2.right),
-        ):
-            return True
-    return False
+    return any(
+        _crosses_translate(w1, w2, k * n) for k in range(lo, hi + 1) if k or w1 != w2
+    )
 
 
 def lower_wrapped_arcs(t: Tito) -> frozenset[WrappedArc]:

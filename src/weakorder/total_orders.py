@@ -7,6 +7,13 @@ chain rule exactly as in the finite case; meets keep the interior of the
 intersection.  Walls, arcs, and canonical join representations all carry
 over, with arcs allowed to sit anywhere on the line.
 
+An order is stored only as its inversion set.  The set splits into runs,
+maximal windows covered by overlapping inverted spans [a, b]; values outside
+every run keep their place.  ``finite_total_order`` certifies each run with
+``sn.word_from_inversions``, meets take ``sn.interior`` run by run, and
+walls and arcs are read off each run's order word, so the work grows with
+the pairs and not with the distance between them.
+
 >>> t = finite_total_order([(0, 1)])
 >>> lt_total(t, 1, 0)
 True
@@ -18,14 +25,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cmp_to_key
-from itertools import combinations
 from typing import Iterable
 
-from .errors import Crossing, NotBiclosed, ParseError, PreconditionViolated
-from .sn import Arc, _chain_closure, arc, arcs_cross, format_arc
-
-ZArc = Arc
+from .errors import NotBiclosed, ParseError, PreconditionViolated
+from .sn import (
+    Arc,
+    _chain_closure,
+    _sort_by_inversions,
+    arc,
+    arc_word,
+    interior,
+    noncrossing,
+    word_arcs,
+    word_from_inversions,
+    word_inversions,
+    word_walls,
+)
 
 # ---------------------------------------------------------------------------
 # the orders
@@ -43,23 +58,6 @@ class FiniteTotalOrder:
                 raise ValueError(f"pair {(a, b)} is not increasing")
 
 
-def _is_biclosed_z(pairs: frozenset[tuple[int, int]]) -> bool:
-    by_left: dict[int, set[int]] = {}
-    for a, b in pairs:
-        by_left.setdefault(a, set()).add(b)
-    # closed: (a,z) and (z,b) force (a,b)
-    for a, z in pairs:
-        for b in by_left.get(z, ()):
-            if (a, b) not in pairs:
-                return False
-    # coclosed: an inversion (a,b) needs a witness at every middle value
-    for a, b in pairs:
-        for z in range(a + 1, b):
-            if (a, z) not in pairs and (z, b) not in pairs:
-                return False
-    return True
-
-
 def finite_total_order(pairs: Iterable[tuple[int, int]]) -> FiniteTotalOrder:
     """Build an order from its inversions, checking realizability.
 
@@ -69,9 +67,36 @@ def finite_total_order(pairs: Iterable[tuple[int, int]]) -> FiniteTotalOrder:
     weakorder.errors.NotBiclosed: not an inversion set: [(1, 3)]
     """
     t = FiniteTotalOrder(frozenset(tuple(p) for p in pairs))
-    if not _is_biclosed_z(t.invs):
-        raise NotBiclosed(f"not an inversion set: {sorted(t.invs)}")
+    try:
+        for lo, hi, inside in _runs(t.invs):
+            # in a coclosed set each z between a pair (a, b) shares a pair
+            # with a or b, so the pairs of a realizable run connect its
+            # hi - lo + 1 values and number at least hi - lo; a wider run is
+            # refused before its word is built
+            if hi - lo > len(inside):
+                raise NotBiclosed
+            word_from_inversions(range(lo, hi + 1), inside)
+    except NotBiclosed:
+        raise NotBiclosed(f"not an inversion set: {sorted(t.invs)}") from None
     return t
+
+
+def _runs(
+    pairs: Iterable[tuple[int, int]],
+) -> list[tuple[int, int, frozenset[tuple[int, int]]]]:
+    """Maximal windows (lo, hi) covered by overlapping spans [a, b] of the
+    pairs, each with the pairs inside it; no pair joins two runs."""
+    runs: list[list] = []
+    for a, b in sorted(pairs):
+        if not runs or a > runs[-1][1]:
+            runs.append([a, b, set()])
+        runs[-1][1] = max(runs[-1][1], b)
+        runs[-1][2].add((a, b))
+    return [(lo, hi, frozenset(inside)) for lo, hi, inside in runs]
+
+
+def _run_words(t: FiniteTotalOrder) -> list[tuple[int, ...]]:
+    return [_sort_by_inversions(range(lo, hi + 1), inside) for lo, hi, inside in _runs(t.invs)]
 
 
 def standard_order() -> FiniteTotalOrder:
@@ -95,12 +120,8 @@ def support_window(t: FiniteTotalOrder) -> tuple[int, int] | None:
 
 
 def order_word(t: FiniteTotalOrder, lo: int, hi: int) -> tuple[int, ...]:
-    """The values lo..hi listed in t's order; the window must be self-contained."""
-
-    def cmp(a: int, b: int) -> int:
-        return -1 if lt_total(t, a, b) else 1
-
-    return tuple(sorted(range(lo, hi + 1), key=cmp_to_key(cmp)))
+    """The values lo..hi listed in t's order."""
+    return _sort_by_inversions(range(lo, hi + 1), t.invs)
 
 
 def format_tot(t: FiniteTotalOrder) -> str:
@@ -135,27 +156,14 @@ def join_tot(ts: Iterable[FiniteTotalOrder]) -> FiniteTotalOrder:
 
 
 def meet_tot(ts: Iterable[FiniteTotalOrder]) -> FiniteTotalOrder:
-    """Interior of the intersection: drop pairs reachable by chains outside it."""
+    """Interior of the intersection, taken run by run: a chain that removes a
+    pair (a, b) stays inside [a, b], so inside its run."""
     items = list(ts)
     if not items:
         raise ValueError("meet of no total orders is not representable")
-    shared = set(items[0].invs)
-    for t in items[1:]:
-        shared &= t.invs
-    kept = set()
-    for a, b in shared:
-        # (a,b) survives unless a chain a = z0 < ... < zk = b avoids shared
-        reach = {a}
-        frontier = [a]
-        while frontier:
-            z = frontier.pop()
-            for w in range(z + 1, b + 1):
-                if w not in reach and (z, w) not in shared:
-                    reach.add(w)
-                    frontier.append(w)
-        if b not in reach:
-            kept.add((a, b))
-    return finite_total_order(kept)
+    shared = frozenset.intersection(*(t.invs for t in items))
+    kept = [interior(range(lo, hi + 1), inside) for lo, hi, inside in _runs(shared)]
+    return finite_total_order(frozenset().union(*kept))
 
 
 def leq_tot(t1: FiniteTotalOrder, t2: FiniteTotalOrder) -> bool:
@@ -168,17 +176,7 @@ def leq_tot(t1: FiniteTotalOrder, t2: FiniteTotalOrder) -> bool:
 
 def lower_walls_tot(t: FiniteTotalOrder) -> frozenset[tuple[int, int]]:
     """Inversions (a,b) with nothing strictly between b and a in the order."""
-    window = support_window(t)
-    if window is None:
-        return frozenset()
-    lo, hi = window
-    walls = set()
-    for a, b in t.invs:
-        if not any(
-            lt_total(t, b, z) and lt_total(t, z, a) for z in range(lo, hi + 1)
-        ):
-            walls.add((a, b))
-    return frozenset(walls)
+    return frozenset().union(*(word_walls(word) for word in _run_words(t)))
 
 
 def lower_arcs_tot(t: FiniteTotalOrder) -> frozenset[Arc]:
@@ -188,51 +186,21 @@ def lower_arcs_tot(t: FiniteTotalOrder) -> frozenset[Arc]:
     >>> format_tot(t)
     '2,5,1,4,3'
     """
-    out = []
-    for a, b in lower_walls_tot(t):
-        left = frozenset(m for m in range(a + 1, b) if lt_total(t, m, b))
-        right = frozenset(range(a + 1, b)) - left
-        out.append(Arc(a, b, left, right))
-    return frozenset(out)
+    return frozenset().union(*(word_arcs(word, word_walls(word)) for word in _run_words(t)))
 
 
 def ji_from_arc_tot(x: Arc) -> FiniteTotalOrder:
     """The join-irreducible order ... l's, b, a, r's ...; everything else in place."""
-    word = sorted(x.left) + [x.b, x.a] + sorted(x.right)
-    position = {v: i for i, v in enumerate(word)}
-    invs = frozenset(
-        (u, v)
-        for u, v in combinations(range(x.a, x.b + 1), 2)
-        if position[v] < position[u]
-    )
-    return finite_total_order(invs)
+    return finite_total_order(word_inversions(arc_word(x)))
 
 
 def join_of_noncrossing_tot(arcs: Iterable[Arc]) -> FiniteTotalOrder:
-    items = sorted(arcs, key=lambda x: (x.a, x.b, tuple(sorted(x.left))))
-    for x, y in combinations(items, 2):
-        if arcs_cross(x, y):
-            raise Crossing(f"arcs cross: {format_arc(x)} and {format_arc(y)}")
-    return join_tot([ji_from_arc_tot(x) for x in items])
+    return join_tot([ji_from_arc_tot(x) for x in noncrossing(arcs)])
 
 
 def canonical_join_rep_tot(t: FiniteTotalOrder) -> frozenset[Arc]:
     """Lower arcs form the canonical join representation of a compact order."""
     return lower_arcs_tot(t)
-
-
-def _swap_values_tot(t: FiniteTotalOrder, x: int, y: int) -> FiniteTotalOrder:
-    lo = min(x, y, *(a for a, _ in t.invs), *(b for _, b in t.invs)) if t.invs else min(x, y)
-    hi = max(x, y, *(a for a, _ in t.invs), *(b for _, b in t.invs)) if t.invs else max(x, y)
-    sub = {x: y, y: x}
-    word = [sub.get(v, v) for v in order_word(t, lo, hi)]
-    position = {v: i for i, v in enumerate(word)}
-    invs = frozenset(
-        (u, v)
-        for u, v in combinations(range(lo, hi + 1), 2)
-        if position[v] < position[u]
-    )
-    return finite_total_order(invs)
 
 
 def find_cover_below(
@@ -242,33 +210,25 @@ def find_cover_below(
 
     The chosen swap is the difference pair (x,y) whose order interval from y
     up to x is smallest; minimality forces y and x to be adjacent, so the swap
-    removes exactly one inversion.
+    removes exactly the inversion (x,y).
     """
     a, b = pair
     if not a < b:
         raise PreconditionViolated(f"pair {(a, b)} is not increasing")
     if not leq_tot(low, high):
         raise PreconditionViolated("lower order is not below upper order")
-    window = support_window(high)
-    if window is None or (a, b) not in high.invs or (a, b) in low.invs:
+    if (a, b) not in high.invs or (a, b) in low.invs:
         raise PreconditionViolated(
             f"pair {(a, b)} must be inverted above and not below"
         )
-    lo, hi = window
-    between = [z for z in range(lo, hi + 1) if lt_total(high, b, z) and lt_total(high, z, a)]
-    segment = set(between) | {a, b}
-
-    def interval_size(x: int, y: int) -> int:
-        return 2 + sum(
-            1 for z in range(lo, hi + 1) if lt_total(high, y, z) and lt_total(high, z, x)
-        )
-
-    candidates = sorted(
-        (
-            (interval_size(x, y), x, y)
-            for x, y in high.invs - low.invs
-            if x in segment and y in segment
-        ),
+    # every value between b and a in high's order is inverted with a or b,
+    # so it lies in the run of (a, b)
+    at = {v: k for k, v in enumerate(next(w for w in _run_words(high) if a in w))}
+    # y before x in high for every difference pair (x, y); the interval from
+    # y up to x holds at[x] - at[y] + 1 values
+    _, x, y = min(
+        (at[x] - at[y], x, y)
+        for x, y in high.invs - low.invs
+        if x in at and at[b] <= at[y] and at[x] <= at[a]
     )
-    _, x, y = candidates[0]
-    return _swap_values_tot(high, x, y)
+    return finite_total_order(high.invs - {(x, y)})

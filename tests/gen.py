@@ -51,30 +51,40 @@ def random_windows(rng: random.Random, n: int, lo: int, hi: int) -> Tito:
     return Tito(n, tuple(blocks))
 
 
-def _member(cache: dict, t: Tito, a: int, b: int) -> bool:
-    key = (t, a, b)
+def _table(cache: dict, t: Tito, span: int) -> list[list[bool]]:
+    # row[r][d]: whether <r, r + d> is an inversion of t, for the residues r
+    # in [1..n] and 1 <= d <= span; inversions are translation invariant, so
+    # this answers <u, u + d> for every u with residue r.  Index 0 is unused.
+    key = (t, span)
     if key not in cache:
-        cache[key] = inversion_contains(t, reflection_index(a, b, t.n))
+        cache[key] = [[]] + [
+            [False] + [inversion_contains(t, reflection_index(r, r + d, t.n)) for d in range(1, span + 1)]
+            for r in range(1, t.n + 1)
+        ]
     return cache[key]
 
 
-def _chain_exists(
-    cache: dict, ts: tuple[Tito, ...], a: int, b: int, edge_in: str
-) -> bool:
-    # Increasing chain a = c0 < c1 < ... < b inside [a, b]; an edge (u, v)
-    # is admissible when (u, v) is an inversion of some input ("union") or
-    # a non-inversion of some input ("co-union", the meet dual).
-    reach = {a}
-    for v in range(a + 1, b + 1):
-        for u in sorted(reach):
-            if edge_in == "union":
-                ok = any(_member(cache, t, u, v) for t in ts)
-            else:
-                ok = any(not _member(cache, t, u, v) for t in ts)
-            if ok:
-                reach.add(v)
-                break
-    return b in reach
+def _chain_ends(
+    cache: dict, ts: tuple[Tito, ...], span: int, edge_in: str
+) -> list[list[bool]]:
+    # reach[a][k]: an increasing chain a = c0 < c1 < ... < a + k exists; an
+    # edge (u, v) is admissible when (u, v) is an inversion of some input
+    # ("union") or a non-inversion of some input ("co-union", the meet dual).
+    # One pass from each a finds every chain end up to a + span.
+    n = ts[0].n
+    want = edge_in == "union"
+    rows = [_table(cache, t, span) for t in ts]
+    ok = [[]] + [
+        [any(row[r][d] == want for row in rows) for d in range(span + 1)]
+        for r in range(1, n + 1)
+    ]
+    reach: list[list[bool]] = [[]]
+    for a in range(1, n + 1):
+        ends = [True] + [False] * span
+        for k in range(1, span + 1):
+            ends[k] = any(ends[j] and ok[(a + j - 1) % n + 1][k - j] for j in range(k))
+        reach.append(ends)
+    return reach
 
 
 def check_join_oracle(
@@ -84,13 +94,13 @@ def check_join_oracle(
     from the inputs' inversions, and conversely; the join must also be an
     upper bound (checked separately with leq)."""
     n = joined.n
+    reach = _chain_ends(cache, inputs, span, "union")
+    actual = _table(cache, joined, span)
     failures = []
     for a in range(1, n + 1):
-        for b in range(a + 1, a + span + 1):
-            expected = _chain_exists(cache, inputs, a, b, "union")
-            actual = _member(cache, joined, a, b)
-            if expected != actual:
-                failures.append(f"<{a},{b}>: chain={expected} join={actual}")
+        for d in range(1, span + 1):
+            if reach[a][d] != actual[a][d]:
+                failures.append(f"<{a},{a + d}>: chain={reach[a][d]} join={actual[a][d]}")
     return failures
 
 
@@ -100,13 +110,13 @@ def check_meet_oracle(
     """An inversion survives the meet exactly when no increasing chain of
     co-inversions of the inputs connects its endpoints."""
     n = met.n
+    reach = _chain_ends(cache, inputs, span, "co-union")
+    actual = _table(cache, met, span)
     failures = []
     for a in range(1, n + 1):
-        for b in range(a + 1, a + span + 1):
-            expected = not _chain_exists(cache, inputs, a, b, "co-union")
-            actual = _member(cache, met, a, b)
-            if expected != actual:
-                failures.append(f"<{a},{b}>: survives={expected} meet={actual}")
+        for d in range(1, span + 1):
+            if reach[a][d] == actual[a][d]:
+                failures.append(f"<{a},{a + d}>: survives={not reach[a][d]} meet={actual[a][d]}")
     return failures
 
 

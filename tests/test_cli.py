@@ -152,6 +152,10 @@ def test_tot_actions(capsys):
     assert run(capsys, "tot", "join", "-1,0", "0,-1") == (0, "0,-1\n", "")
     assert run(capsys, "tot", "join", "--", "-1,0", "0,-1") == (0, "0,-1\n", "")
     assert run(capsys, "tot", "meet", "0,-2,-1", "-2,0,-1")[:2] == (0, "0,-1\n")
+    far = "[[0,1],[1000000,1000001]]"
+    assert run(capsys, "tot", "walls", far)[:2] == (0, "(0,1)\n(1000000,1000001)\n")
+    code, _, err = run(capsys, "tot", "walls", "[[0,1000000]]")
+    assert code == 1 and err.count("\n") == 1 and "not an inversion set" in err
 
 
 def test_lab_check(capsys):
@@ -172,6 +176,9 @@ def test_lab_check(capsys):
     assert out.splitlines()[0] == "elements: 6"
     code, out, _ = run(capsys, "lab", "check", "--kind", "tot", "--a", "-3", "--b", "-1")
     assert (code, out.splitlines()[0]) == (0, "elements: 6")
+    code, out, err = run(capsys, "lab", "check", "--kind", "tito", "--n", "8", "--a", "1", "--b", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: too large: period 8") and err.count("\n") == 1
 
 
 def test_lab_quotient_json(capsys):

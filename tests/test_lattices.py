@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from weakorder import lattices
+
 from weakorder.errors import (
     NotACongruence,
     NotALattice,
@@ -55,6 +57,15 @@ def test_poset_validation():
         finite_poset(["x", "y", "z"], chain)
 
 
+def test_boolean_products_are_exact_past_256():
+    # a chain of 258 elements: products counted in a byte would wrap at 256
+    labels = [str(k) for k in range(258)]
+    full = np.triu(np.ones((258, 258), dtype=bool))
+    assert int(cover_matrix(finite_poset(labels, full)).sum()) == 257
+    generated = poset_from_pairs(labels, zip(labels, labels[1:]))
+    assert np.array_equal(generated.leq, full)
+
+
 def test_covers_of_diamond():
     p = _diamond()
     cov = cover_matrix(p)
@@ -66,6 +77,15 @@ def test_covers_of_diamond():
 
 def test_check_lattice():
     assert check_lattice(weak_order_poset(3)).is_lattice
+    # the tables against a scan of all common bounds of each pair
+    wo4 = weak_order_poset(4)
+    report, leq = check_lattice(wo4), wo4.leq
+    for i in range(len(wo4)):
+        for j in range(len(wo4)):
+            ub = [k for k in range(len(wo4)) if leq[i, k] and leq[j, k]]
+            lb = [k for k in range(len(wo4)) if leq[k, i] and leq[k, j]]
+            assert [k for k in ub if all(leq[k, u] for u in ub)] == [report.join[i, j]]
+            assert [k for k in lb if all(leq[u, k] for u in lb)] == [report.meet[i, j]]
     bowtie = poset_from_pairs(
         ["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     )
@@ -74,6 +94,28 @@ def test_check_lattice():
     assert "least upper bound" in report.witness
     two = poset_from_pairs(["a", "b"], [])
     assert not check_lattice(two).is_lattice
+
+
+def test_bound_tables_are_built_once_per_poset(monkeypatch):
+    built = []
+    original = lattices._least_bounds
+
+    def counting(p, leq, bound, least):
+        built.append(bound)
+        return original(p, leq, bound, least)
+
+    monkeypatch.setattr(lattices, "_least_bounds", counting)
+    wo4 = weak_order_poset(4)
+    assert check_lattice(wo4).is_lattice
+    assert is_join_semidistributive_fin(wo4) and is_meet_semidistributive_fin(wo4)
+    assert join_irreducibles_fin(wo4) and canonical_join_rep_fin(wo4, "4321")
+    assert congruence_generated_by(wo4, [("1234", "2134")])
+    assert sorted(built) == ["lower", "upper"]
+    # the cached tables are shared, so no caller may write to them
+    report = check_lattice(wo4)
+    for table in (report.join, report.meet):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 def test_join_irreducibles():
@@ -215,6 +257,10 @@ def test_tito_quotient_sizes_and_structure():
     assert len(tito_quotient(3, 1, 6).poset) == 120
     with pytest.raises(TooLarge):
         tito_quotient(2, 1, 8)
+    with pytest.raises(TooLarge, match="period 8"):
+        tito_quotient(8, 1, 3)
+    with pytest.raises(PreconditionViolated):
+        tito_quotient(0, 1, 3)
     with pytest.raises(PreconditionViolated):
         tito_quotient(2, 2, 2)
 

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from weakorder.errors import MixedSizes, NotBiclosed, NotIdeal, ParseError
 from weakorder.sn import (
     all_arcs,
+    all_pairs,
     arc,
     arc_ideal,
     arcs_cross,
@@ -64,6 +66,14 @@ def test_closure_and_interior():
     assert interior_pairs(pairset(3, [(1, 3)])).pairs == set()
     biclosed = pairset(3, [(1, 2), (1, 3)])
     assert interior_pairs(biclosed).pairs == biclosed.pairs
+    # arbitrary pair sets against the definition: all pairs minus the
+    # closure of the complement
+    rng = random.Random(11)
+    everything = all_pairs(6)
+    for _ in range(300):
+        ps = pairset(6, [p for p in sorted(everything) if rng.random() < 0.5])
+        rest = closure_pairs(pairset(6, everything - ps.pairs)).pairs
+        assert interior_pairs(ps).pairs == everything - rest
 
 
 def test_permutation_from_inversions():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from weakorder.errors import Crossing, NotBiclosed, ParseError, PreconditionViolated
 from weakorder.sn import arc, format_perm, inversions, join_sn, lower_arcs_sn, perm_of
 from weakorder.total_orders import (
+    FiniteTotalOrder,
     canonical_join_rep_tot,
     find_cover_below,
     finite_total_order,
@@ -128,6 +130,35 @@ def test_agreement_with_finite_weak_order():
     assert lower_arcs_tot(_embed(p.one_line)) == lower_arcs_sn(p)
 
 
+def _position_inversions(word):
+    # computed here from positions, independently of the library
+    at = {v: i for i, v in enumerate(word)}
+    return frozenset((a, b) for a in word for b in word if a < b and at[b] < at[a])
+
+
+@pytest.mark.parametrize("lo", [-3, 0, 2])
+def test_join_and_meet_against_every_ordering(lo):
+    # The join is the least upper bound and the meet the greatest lower bound
+    # among all orderings of the window [lo, lo + w - 1], found by scanning.
+    rng = random.Random(1000 + lo)
+    for w in range(1, 6):
+        invsets = [_position_inversions(word) for word in permutations(range(lo, lo + w))]
+        by_size = sorted(invsets, key=len)
+        if w <= 4:
+            pairs = [(x, y) for x in invsets for y in invsets]
+        else:
+            pairs = [(rng.choice(invsets), rng.choice(invsets)) for _ in range(300)]
+        for x, y in pairs:
+            uppers = [s for s in by_size if x <= s and y <= s]
+            lowers = [s for s in by_size if s <= x and s <= y]
+            least, greatest = uppers[0], lowers[-1]
+            assert all(least <= s for s in uppers)
+            assert all(s <= greatest for s in lowers)
+            inputs = [FiniteTotalOrder(x), FiniteTotalOrder(y)]
+            assert join_tot(inputs).invs == least
+            assert meet_tot(inputs).invs == greatest
+
+
 def test_translation_invariance():
     base = _embed((2, 5, 1, 4, 3))
     shifted = finite_total_order([(a - 3, b - 3) for a, b in base.invs])
@@ -168,3 +199,26 @@ def test_json_roundtrip():
     assert invs_from_json("[]") == standard_order()
     with pytest.raises(ParseError):
         invs_from_json("[[1]]")
+
+
+def test_far_apart_pairs_cost_what_the_pairs_cost():
+    # the checks run run by run, so two pairs 10**6 apart are as cheap as two
+    # adjacent ones; a word over the whole support window would take hours
+    start = time.perf_counter()
+    far = 10**6
+    t = invs_from_json(f"[[0,1],[{far},{far + 1}]]")
+    assert sorted(lower_walls_tot(t)) == [(0, 1), (far, far + 1)]
+    assert len(lower_arcs_tot(t)) == 2
+    bigger = join_tot([t, finite_total_order([(far + 1, far + 2)])])
+    assert bigger.invs == t.invs | {(far, far + 2), (far + 1, far + 2)}
+    assert meet_tot([t, bigger]) == t
+    assert find_cover_below(standard_order(), t, (far, far + 1)).invs == {(0, 1)}
+    with pytest.raises(NotBiclosed, match=r"\[\(0, 1000000\)\]"):
+        invs_from_json(f"[[0,{far}]]")
+    # a run too wide for its pairs, and a run that fails the round trip; the
+    # message names the whole set
+    with pytest.raises(NotBiclosed, match=r"\[\(0, 1\), \(5, 7\)\]"):
+        finite_total_order([(0, 1), (5, 7)])
+    with pytest.raises(NotBiclosed, match=r"\[\(0, 1\), \(5, 6\), \(6, 7\)\]"):
+        finite_total_order([(0, 1), (5, 6), (6, 7)])
+    assert time.perf_counter() - start < 2
