@@ -30,6 +30,7 @@ from .errors import MixedSizes, OutOfRange, ParseError, TooLarge
 from .sn import _common_n
 from .tito import (
     Tito,
+    _shifts_within,
     _valid_sets,
     join_tito,
     meet_tito,
@@ -150,8 +151,7 @@ def dyer_normal_form(t: Tito) -> DyerElement:
     'dyer:[~2,1]'
     """
     blocks = tuple(
-        Block(WAXING, b.window) if b.size == 1 and b.direction == WANING else b
-        for b in t.blocks
+        [Block(WAXING, b.window) if b.size == 1 and b.direction == WANING else b for b in t.blocks]
     )
     return DyerElement(t.n, normalize_tito(Tito(t.n, blocks)))
 
@@ -178,13 +178,7 @@ def dyer_leq(x: DyerElement, y: DyerElement) -> bool:
     True
     """
     size = _common_n([x, y], None)
-    vx, vy = _valid_sets(x.rep), _valid_sets(y.rep)
-    return all(
-        vx[i][j].issubset(vy[i][j])
-        for i in range(1, size + 1)
-        for j in range(1, size + 1)
-        if i != j
-    )
+    return _shifts_within(_valid_sets(x.rep), _valid_sets(y.rep), size, diagonal=False)
 
 
 def dyer_join(xs: Sequence[DyerElement], n: int | None = None) -> DyerElement:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key, reduce
-from itertools import combinations, permutations
+from functools import cached_property, reduce
+from itertools import combinations, compress, permutations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,9 +31,8 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .intervals import ZSet
 from .sn import Permutation, format_perm, word_inversions
-from .tito import Tito, _close, _shift_of, _tito_from_valid_sets, lt_tito
+from .tito import Tito, _close, _locate, _no_shifts, _shift_of, _tito_from_valid_sets
 
 MAX_POSET = 10_000
 
@@ -88,7 +87,7 @@ def finite_poset(elements: Sequence[str], leq: np.ndarray) -> FinitePoset:
         raise ValueError("order is not reflexive")
     if (m & m.T & ~np.eye(n, dtype=bool)).any():
         raise ValueError("order is not antisymmetric")
-    if (m @ m & ~m).any():
+    if (_bool_square(m) & ~m).any():
         raise ValueError("order is not transitive")
     m = m.copy()
     m.setflags(write=False)
@@ -106,7 +105,7 @@ def poset_from_pairs(
     for x, y in pairs:
         m[idx[x], idx[y]] = True
     while True:
-        closure = m | m @ m
+        closure = m | _bool_square(m)
         if (closure == m).all():
             return finite_poset(labels, m)
         m = closure
@@ -115,7 +114,14 @@ def poset_from_pairs(
 def cover_matrix(p: FinitePoset) -> np.ndarray:
     """cover[i, j] holds when elements[j] covers elements[i]."""
     strict = p.leq & ~np.eye(len(p), dtype=bool)
-    return strict & ~(strict @ strict)
+    return strict & ~_bool_square(strict)
+
+
+def _bool_square(m: np.ndarray) -> np.ndarray:
+    # m @ m over booleans, counted in float32 so that BLAS does the work;
+    # exact, as a count is at most MAX_POSET < 2**24
+    f = m.astype(np.float32)
+    return (f @ f) > 0
 
 
 def poset_to_json(p: FinitePoset) -> str:
@@ -467,8 +473,13 @@ class TitoQuotient:
 
 def tito_window_word(t: Tito, a: int, b: int) -> tuple[int, ...]:
     """The integers of [a, b] listed bottom-up in the order given by t."""
-    order = cmp_to_key(lambda x, y: -1 if lt_tito(t, x, y) else 1)
-    return tuple(sorted(range(a, b + 1), key=order))
+    return tuple(sorted(range(a, b + 1), key=lambda x: _locate(t, x)))
+
+
+def _forces_more(V: tuple, pairs: list, inverted: list[bool]) -> bool:
+    # some window pair's shift lies in V exactly when the word keeps it in order
+    lo, hi = V
+    return any((lo[i][j] <= d <= hi[i][j]) != inv for inv, (_, _, i, j, d) in zip(inverted, pairs))
 
 
 def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:
@@ -481,23 +492,30 @@ def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:
     inducing the word sits above it.  Classes are ordered by containment of
     their window inversions, which agrees with the order on the minimal
     representatives.
+
+    Seeding the closure with hulls only adds, and the minimal order's shift
+    sets are intervals, so the words kept and their closures are exact.
     """
     values = _window(a, b)
     if n < 1:
         raise PreconditionViolated("need n >= 1")
     if n > 7:
         raise TooLarge(f"period {n} (limit 7)")
-    shifts = [(x, y, _shift_of(x, y, n)) for x, y in combinations(values, 2)]
+    # each pair of the window as (x, y) by offset from a, and its shift set
+    pairs = [(x - a, y - a, *_shift_of(x, y, n)) for x, y in combinations(values, 2)]
     words: list[tuple[int, ...]] = []
     reps: dict[str, Tito] = {}
     for word in permutations(values):
-        forced = word_inversions(word)
-        V = [[ZSet.empty()] * (n + 1) for _ in range(n + 1)]
-        for x, y in forced:
-            i, j, d = _shift_of(x, y, n)
-            V[i][j] = V[i][j].union(ZSet.interval(d, d))
+        at = sorted(range(len(word)), key=word.__getitem__)  # offset -> place
+        inverted = [at[y] < at[x] for x, y, _, _, _ in pairs]
+        V = lo, hi = _no_shifts(n)
+        for _, _, i, j, d in compress(pairs, inverted):
+            lo[i][j], hi[i][j] = min(lo[i][j], d), max(hi[i][j], d)
+        # the hull of the forced shifts may already hold a pair the word keeps
+        if _forces_more(V, pairs, inverted):
+            continue
         _close(V, n)
-        if any((d in V[i][j]) != ((x, y) in forced) for x, y, (i, j, d) in shifts):
+        if _forces_more(V, pairs, inverted):
             continue
         words.append(word)
         reps[window_word_label(word)] = _tito_from_valid_sets(V, n)

@@ -12,10 +12,10 @@ with '~': "[2,1,3][~0]".
 An inversion is a class of pairs <a,b>, a < b, b before a, up to
 translating both entries by n.  Containment of inversion sets is a
 complete lattice order.  An order is determined by its shift sets
-V[i][j] = {d : <i, j + dn> is an inversion}, one per pair of residues;
-a join closes the union of the inputs' shift sets under the chain rule
-and reads the windows straight off the closed sets.  Meets go through
-the order-reversing involution.
+V[i][j] = {d : <i, j + dn> is an inversion}, one integer interval per pair
+of residues; a join closes the hull of the inputs' intervals in one
+Floyd-Warshall pass and reads the windows straight off the closed
+intervals.  Meets go through the order-reversing involution.
 
 >>> t = parse_windows("[2,1]", 2)
 >>> lt_tito(t, 2, 1)
@@ -26,11 +26,12 @@ True
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations, permutations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .crossing import tuples_cross
 from .errors import (
@@ -41,9 +42,7 @@ from .errors import (
     NotWidelyGenerated,
     NotWrapped,
     ParseError,
-    TooLarge,
 )
-from .intervals import ZSet
 from .sn import _common_n
 
 WAXING = "waxing"
@@ -148,6 +147,17 @@ class Tito:
             missing = sorted(set(range(1, self.n + 1)) - seen)
             raise InvalidWindows(f"residue classes {missing} missing")
 
+    @cached_property
+    def _placements(self) -> dict[int, tuple[int, str, int, int]]:
+        # residue r -> (block index, direction, block size, place of r, see
+        # _locate); kept in the instance dict, so eq and hash use the fields
+        out = {}
+        for bi, blk in enumerate(self.blocks):
+            k, step = blk.size, 1 if blk.direction == WANING else -1
+            for p, e in enumerate(blk.window):
+                out[residue(e, self.n)] = (bi, blk.direction, k, p + step * ((e - 1) // self.n) * k)
+        return out
+
     def __str__(self) -> str:
         return format_windows(self)
 
@@ -169,8 +179,9 @@ class WrappedArc:
     def __post_init__(self) -> None:
         if not 1 <= self.a < self.b:
             raise ValueError(f"need 1 <= a < b, got <{self.a},{self.b}>")
-        interior = set(range(self.a + 1, self.b))
-        if self.left | self.right != interior or self.left & self.right:
+        both = self.left | self.right  # linear in the sides, not in the span
+        inside = all(self.a < x < self.b for x in both)
+        if not inside or not len(both) == len(self.left) + len(self.right) == self.b - self.a - 1:
             raise ValueError(
                 f"left/right must split ({self.a},{self.b}) exclusively"
             )
@@ -283,7 +294,9 @@ def normalize_tito(t: Tito) -> Tito:
         w = blk.window if blk.direction == WAXING else blk.window[::-1]
         steps = (k * (k + 1) // 2 + n - 1 - sum(w)) // n
         q, r = divmod(steps, k)
-        w = tuple(x + q * n for x in w[r:] + tuple(x + n for x in w[:r]))
+        # tuples from lists: one built from a generator is resized from a guessed
+        # length, and CPython keeps it on a free list after it dies
+        w = tuple([x + q * n for x in w[r:] + tuple([x + n for x in w[:r]])])
         blocks.append(Block(blk.direction, w if blk.direction == WAXING else w[::-1]))
     return Tito(n, tuple(blocks))
 
@@ -349,20 +362,12 @@ def _ordered_set_partitions(
 # comparisons
 
 
-def _placements(t: Tito) -> dict[int, tuple[int, str, int, int, int]]:
-    # residue -> (block index, direction, block size, window index, entry)
-    out: dict[int, tuple[int, str, int, int, int]] = {}
-    for bi, blk in enumerate(t.blocks):
-        for p, e in enumerate(blk.window):
-            out[residue(e, t.n)] = (bi, blk.direction, blk.size, p, e)
-    return out
-
-
-def _locate(pl: Mapping[int, tuple[int, str, int, int, int]], x: int, n: int):
-    bi, direction, k, p, e = pl[residue(x, n)]
-    u = (x - e) // n
-    pos = p + u * k if direction == WAXING else p - u * k
-    return bi, pos
+def _locate(t: Tito, x: int) -> tuple[int, int]:
+    # (block index, place in the block), which sorts like the order: x + n
+    # is k places right of x in a waxing block of size k, k left in a waning one
+    bi, direction, k, p = t._placements[residue(x, t.n)]
+    u = (x - 1) // t.n
+    return bi, p + u * k if direction == WAXING else p - u * k
 
 
 def lt_tito(t: Tito, a: int, b: int) -> bool:
@@ -373,14 +378,7 @@ def lt_tito(t: Tito, a: int, b: int) -> bool:
     >>> lt_tito(parse_windows("[~1][2]", 2), 3, 2)
     True
     """
-    if a == b:
-        return False
-    pl = _placements(t)
-    ba, pa = _locate(pl, a, t.n)
-    bb, pb = _locate(pl, b, t.n)
-    if ba != bb:
-        return ba < bb
-    return pa < pb
+    return _locate(t, a) < _locate(t, b)
 
 
 def inversion_contains(t: Tito, ri: ReflectionIndex) -> bool:
@@ -402,20 +400,26 @@ def inversion_indices_upto(t: Tito, bound: int) -> frozenset[ReflectionIndex]:
 # shift sets
 
 # For residues i, j in [1..n] the shift set V[i][j] is {d : <i, j + dn> is
-# an inversion}, over the shifts with j + dn > i (d >= 0 when j > i, d >= 1
-# otherwise).  Within a waxing block the translates j + dn that come before
-# i are those with d up to a threshold, so V[i][j] is a finite interval,
-# possibly empty; within a waning block they are those with d from a
-# threshold on, so V[i][j] is a tail.  Across blocks V[i][j] is empty when
-# i's block comes first and the whole tail otherwise, and V[r][r] is a tail
-# exactly when r's block wanes.  A join closes the union of the inputs'
-# shift sets under the chain rule (_close) and reads the windows straight
-# off the closed matrix (_tito_from_valid_sets).
+# an inversion}, over the d with j + dn > i (d >= 0 when j > i, else d >= 1).
+# In a waxing block these are the d up to a threshold, a finite interval; in
+# a waning block the d from a threshold on, a tail; across blocks nothing or
+# the whole tail.  So V = (lo, hi), two (n+1) x (n+1) lists, 1-indexed, with
+# hi = INF for a tail and (INF, -INF) for the empty set: min and max take
+# the hull of a union, and lo2 <= lo1 and hi1 <= hi2 decides inclusion.
+
+INF = math.inf
+Shifts = tuple[list[list[float]], list[list[float]]]
 
 
-def _t_min(i: int, j: int) -> int:
-    # Least shift d with j + dn > i when j's class is sampled at j.
-    return 0 if j > i else 1
+def _no_shifts(n: int) -> Shifts:
+    return [[INF] * (n + 1) for _ in range(n + 1)], [[-INF] * (n + 1) for _ in range(n + 1)]
+
+
+def _shifts_within(V: Shifts, W: Shifts, n: int, diagonal: bool = True) -> bool:
+    """True when each V[i][j] lies inside W[i][j]; diagonal=False skips V[r][r]."""
+    (lo1, hi1), (lo2, hi2) = V, W
+    cells = [(i, j) for i, j in product(range(1, n + 1), repeat=2) if diagonal or i != j]
+    return all(lo2[i][j] <= lo1[i][j] and hi1[i][j] <= hi2[i][j] for i, j in cells)
 
 
 def _shift_of(x: int, y: int, n: int) -> tuple[int, int, int]:
@@ -424,80 +428,78 @@ def _shift_of(x: int, y: int, n: int) -> tuple[int, int, int]:
     return i, j, (y - x - (j - i)) // n
 
 
-def _valid_sets(t: Tito) -> list[list[ZSet]]:
-    # V[i][j] = {d : <i, j + dn> is an inversion of t}, 1-indexed.
-    n = t.n
-    pl = _placements(t)
-    V = [[ZSet.empty()] * (n + 1) for _ in range(n + 1)]
+def _valid_sets(t: Tito) -> Shifts:
+    # read off the places of the classes; V[r][r] falls under the same-block
+    # rule (theta = 0 < 1 when waxing, the tail [1, oo) when waning)
+    n, pl = t.n, t._placements
+    V = _no_shifts(n)
     for i in range(1, n + 1):
-        bi, di, ki, _, _ = pl[i]
-        _, pos_i = _locate(pl, i, n)
+        bi, di, k, pi = pl[i]
+        lo, hi = V[0][i], V[1][i]
         for j in range(1, n + 1):
-            bj = pl[j][0]
-            tmin = _t_min(i, j)
-            if i == j:
-                V[i][j] = ZSet.upset(1) if di == WANING else ZSet.empty()
-            elif bi != bj:
-                V[i][j] = ZSet.empty() if bi < bj else ZSet.upset(tmin)
+            bj, _, _, pj = pl[j]
+            tmin = 0 if j > i else 1
+            if bi != bj:
+                if bi > bj:
+                    lo[j], hi[j] = tmin, INF
+            elif di == WAXING:
+                theta = (pi - pj) // k
+                if theta >= tmin:
+                    lo[j], hi[j] = tmin, theta
             else:
-                _, pos_j = _locate(pl, j, n)
-                if di == WAXING:
-                    theta = (pos_i - pos_j) // ki
-                    V[i][j] = ZSet.interval(tmin, theta)
-                else:
-                    theta = (pos_j - pos_i) // ki + 1
-                    V[i][j] = ZSet.upset(max(theta, tmin))
+                lo[j], hi[j] = max((pj - pi) // k + 1, tmin), INF
     return V
 
 
-def _close(V: list[list[ZSet]], n: int) -> None:
-    # Chain rule: <i, j+dn> and <j, l+en> force <i, l+(d+e)n>, so V[i][l]
-    # absorbs the sumset V[i][j] + V[j][l].  A nonempty diagonal entry means
-    # the class is waning in the result, which forces the whole tail of
-    # imaginary shifts at once; promoting eagerly is also what makes the
-    # fixpoint terminate when thresholds would otherwise creep around a
-    # cycle forever.
-    def promote() -> bool:
-        hit = False
-        full = ZSet.upset(1)
-        for r in range(1, n + 1):
-            if not V[r][r].is_empty and V[r][r] != full:
-                V[r][r] = full
-                hit = True
-        return hit
+def _close(V: Shifts, n: int) -> None:
+    """Close V in place under the chain rule and the waning promotion.
 
-    promote()
-    sweeps = 64 * (n + 2) * (n + 2) + _span_bound(V, n)
-    for _ in range(sweeps):
-        changed = False
-        for j in range(1, n + 1):
-            for i in range(1, n + 1):
-                if V[i][j].is_empty:
-                    continue
-                for l in range(1, n + 1):
-                    if V[j][l].is_empty:
-                        continue
-                    s = V[i][j].sumset(V[j][l])
-                    if not s.issubset(V[i][l]):
-                        V[i][l] = V[i][l].union(s)
-                        changed = True
-        if promote():
-            changed = True
-        if not changed:
-            return
-    raise TooLarge(f"shift-set closure for n = {n} still changing after {sweeps} sweeps")
+    Chain rule: <i, j+dn> and <j, l+en> force <i, l+(d+e)n>, so V[i][l]
+    absorbs V[i][j] + V[j][l].  Promotion: a nonempty V[r][r] means r's
+    class wanes, which forces every imaginary shift: V[r][r] = [1, oo).
+
+    One pass suffices.  Intervals under "hull of union" and "sum" form a
+    closed semiring (the sum distributes over the hull of any family), so
+    the least chain-closed matrix above V holds in V[i][l] the hull of the
+    shift totals of all walks from i to l.  Floyd-Warshall in Kleene's form
+    builds it over the pivot k: a walk with inner residues at most k splits
+    at its visits to k into a walk into k, cycles at k and a walk out of k,
+    all with inner residues below k, hence the update V[i][l] |= V[i][k] +
+    star(V[k][k]) + V[k][l].  A cycle has total shift >= 1 (a sum keeps
+    d >= 1 when l <= i), so the star, the hull of 0 and all multiples of
+    V[k][k], is [0, oo) if V[k][k] is nonempty and {0} if not; updating in
+    place only repeats it.  A nonempty V[r][r] is then a tail, and so are
+    the nonempty V[i][r] and V[r][l] (go round the cycle again), so the
+    post-pass V[r][r] = [1, oo) gives the chain rule nothing new.  Both
+    steps add only what the rules force: the result is the least closed
+    matrix above V, reached without an iteration count.  Hulls lose
+    nothing, as the shift sets of a periodic order are intervals closed
+    under both rules: one containing V's contains each hull on the way.
+    """
+    LO, HI = V
+    for k in range(1, n + 1):
+        lo_k, hi_k = LO[k], HI[k]
+        cycle = lo_k[k] <= hi_k[k]
+        out = [l for l in range(1, n + 1) if lo_k[l] != INF]
+        for i in range(1, n + 1):
+            lo_i, hi_i = LO[i], HI[i]
+            lo_ik = lo_i[k]
+            if lo_ik == INF:
+                continue
+            hi_ik = INF if cycle else hi_i[k]
+            for l in out:
+                s = lo_ik + lo_k[l]
+                if s < lo_i[l]:
+                    lo_i[l] = s
+                s = hi_ik + hi_k[l]
+                if s > hi_i[l]:
+                    hi_i[l] = s
+    for r in range(1, n + 1):
+        if LO[r][r] != INF:
+            LO[r][r], HI[r][r] = 1, INF
 
 
-def _span_bound(V: list[list[ZSet]], n: int) -> int:
-    spread = 0
-    for row in V[1:]:
-        for s in row[1:]:
-            for lo, hi in s.parts:
-                spread += abs(lo) + (abs(hi) if hi is not None else 0)
-    return 8 * (spread + n)
-
-
-def _tito_from_valid_sets(V: list[list[ZSet]], n: int) -> Tito:
+def _tito_from_valid_sets(V: Shifts, n: int) -> Tito:
     """The order whose shift sets are V; InconsistentEncoding when none is.
 
     Classes r and s share a block when V[r][s] and V[s][r] are both finite
@@ -509,42 +511,38 @@ def _tito_from_valid_sets(V: list[list[ZSet]], n: int) -> Tito:
     placed by the threshold that V[r0][r] and V[r][r0] record.  The result
     is certified by recomputing its shift sets.
     """
+    LO, HI = V
 
     def before(x: int, y: int) -> bool:
         if x > y:
             return not before(y, x)
         i, j, d = _shift_of(x, y, n)
-        return d not in V[i][j]
+        return not LO[i][j] <= d <= HI[i][j]
 
     ranked = []
     rest = list(range(1, n + 1))
     while rest:
         r0 = rest[0]
-        members = [r for r in rest if V[r0][r].is_finite == V[r][r0].is_finite]
+        members = [r for r in rest if (HI[r0][r] == INF) == (HI[r][r0] == INF)]
         rest = [r for r in rest if r not in members]
         window = [r0]
         for r in members[1:]:
-            a, b = V[r0][r], V[r][r0]
             # the translate r + dn that lies between r0 and its successor r0 +- n
-            if not a.is_finite:
-                # waning, r + dn before r0 iff d >= theta: a = [max(theta, 0), oo)
-                # and b = [max(1 - theta, 1), oo), so d = theta - 1
-                d = a.min() - b.min()
-            elif not a.is_empty:
-                # waxing, r + dn before r0 iff d <= theta: a = [0, theta] and
-                # b = [1, -theta - 1], so d = theta + 1
-                d = a.max() + 1
-            elif not b.is_empty:
-                d = -b.max()
+            if HI[r0][r] == INF:
+                # waning, r + dn before r0 iff d >= theta: V[r0][r] = [max(theta, 0), oo)
+                # and V[r][r0] = [max(1 - theta, 1), oo), so d = theta - 1
+                d = LO[r0][r] - LO[r][r0]
             else:
-                d = 0  # theta = -1
+                # waxing, r + dn before r0 iff d <= theta: V[r0][r] = [0, theta] and
+                # V[r][r0] = [1, -theta - 1], either possibly empty; d = theta + 1
+                d = max(HI[r0][r], -1) + 1 - max(HI[r][r0], 0)
             window.append(r + d * n)
         window.sort(key=cmp_to_key(lambda x, y: -1 if before(x, y) else 1))
-        direction = WAXING if V[r0][r0].is_empty else WANING
-        ahead = sum(not V[s][r0].is_finite for s in range(1, n + 1) if s not in members)
+        direction = WAXING if LO[r0][r0] == INF else WANING
+        ahead = sum(HI[s][r0] == INF for s in range(1, n + 1) if s not in members)
         ranked.append((ahead, Block(direction, tuple(window))))
     ranked.sort(key=lambda pair: -pair[0])
-    t = normalize_tito(Tito(n, tuple(blk for _, blk in ranked)))
+    t = normalize_tito(Tito(n, tuple([blk for _, blk in ranked])))
     if _valid_sets(t) != V:
         raise InconsistentEncoding(
             f"shift sets describe no periodic order; {format_windows(t)} has others"
@@ -565,26 +563,19 @@ def join_tito(ts: Sequence[Tito], n: int | None = None) -> Tito:
     size = _common_n(ts, n)
     if not ts:
         return standard_tito(size)
-    V = [[ZSet.empty()] * (size + 1) for _ in range(size + 1)]
-    for t in ts:
-        W = _valid_sets(t)
-        for i in range(1, size + 1):
-            for j in range(1, size + 1):
-                V[i][j] = V[i][j].union(W[i][j])
+    V = _valid_sets(ts[0])
+    for W in map(_valid_sets, ts[1:]):
+        for bound, other, hull in zip(V, W, (min, max)):
+            bound[:] = [list(map(hull, row, more)) for row, more in zip(bound, other)]
     _close(V, size)
     return _tito_from_valid_sets(V, size)
 
 
 def reverse_tito(t: Tito) -> Tito:
     """The same order read right to left; inversions become non-inversions."""
-    blocks = tuple(
-        Block(
-            WANING if blk.direction == WAXING else WAXING,
-            tuple(reversed(blk.window)),
-        )
-        for blk in reversed(t.blocks)
-    )
-    return normalize_tito(Tito(t.n, blocks))
+    turn = {WAXING: WANING, WANING: WAXING}
+    blocks = [Block(turn[blk.direction], blk.window[::-1]) for blk in reversed(t.blocks)]
+    return normalize_tito(Tito(t.n, tuple(blocks)))
 
 
 def meet_tito(ts: Sequence[Tito], n: int | None = None) -> Tito:
@@ -594,14 +585,9 @@ def meet_tito(ts: Sequence[Tito], n: int | None = None) -> Tito:
 
 
 def leq_tito(t1: Tito, t2: Tito) -> bool:
-    """Containment of inversion sets, decided on the finite encodings."""
+    """Containment of inversion sets, decided on the shift sets."""
     size = _common_n([t1, t2], None)
-    V1, V2 = _valid_sets(t1), _valid_sets(t2)
-    return all(
-        V1[i][j].issubset(V2[i][j])
-        for i in range(1, size + 1)
-        for j in range(1, size + 1)
-    )
+    return _shifts_within(_valid_sets(t1), _valid_sets(t2), size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 from weakorder.cli import main
 
@@ -94,6 +95,15 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "tito", "join", "--n", "2", "[2,1")
     assert code == 2
     assert "error: parse error" in err and "unclosed" in err
+
+
+def test_wide_arc_is_refused_without_listing_its_span(capsys):
+    # the sides name no value of the 10^8 - 2 between a and b
+    start = time.perf_counter()
+    code, out, err = run(capsys, "render", "arcs", "--n", "2", "<1,100000000||>")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "must split (1,100000000)" in err
 
 
 def test_unknown_action(capsys):

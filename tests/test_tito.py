@@ -1,6 +1,10 @@
 import random
+from copy import deepcopy
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import check_join_oracle, check_meet_oracle, random_tito, random_windows
 from weakorder.errors import (
@@ -12,8 +16,14 @@ from weakorder.errors import (
     NotWidelyGenerated,
     ParseError,
 )
-from weakorder.intervals import ZSet
 from weakorder.tito import (
+    WANING,
+    WAXING,
+    Block,
+    INF,
+    Tito,
+    _close,
+    _no_shifts,
     _tito_from_valid_sets,
     _valid_sets,
     all_titos,
@@ -156,10 +166,57 @@ def test_valid_sets_roundtrip():
 
 
 def test_decoder_rejects_a_gap():
-    V = [[ZSet.empty()] * 3 for _ in range(3)]
-    V[1][2] = ZSet.interval(1, 1)
+    V = _no_shifts(2)
+    lo, hi = V
+    lo[1][2] = hi[1][2] = 1  # V[1][2] = {1}: <1, 4> without <1, 2>
     with pytest.raises(InconsistentEncoding, match="no periodic order"):
         _tito_from_valid_sets(V, 2)
+
+
+def test_close_promotes_a_waning_class():
+    # <1,4> and <2,3> chain only to shifts of 2 or more on the diagonal (<1,4>
+    # and <4,5> give <1,5>); a waning class has every shift, so <1,3> and <2,4> too
+    V = _no_shifts(2)
+    lo, hi = V
+    lo[1][2] = hi[1][2] = 1
+    lo[2][1] = hi[2][1] = 1
+    _close(V, 2)
+    assert V == _valid_sets(_t("[~1,2]", 2))
+
+
+def _closed_by_sweeps(V, n):
+    # the rules applied until nothing changes: promote a nonempty diagonal to
+    # [1, oo), and let V[i][l] absorb the hull of V[i][j] + V[j][l]
+    lo, hi = V
+    changed = True
+    while changed:
+        changed = False
+        for r in range(1, n + 1):
+            if lo[r][r] != INF and (lo[r][r], hi[r][r]) != (1, INF):
+                lo[r][r], hi[r][r], changed = 1, INF, True
+        for i, j, l in product(range(1, n + 1), repeat=3):
+            if lo[i][j] != INF and lo[j][l] != INF:
+                new = min(lo[i][l], lo[i][j] + lo[j][l]), max(hi[i][l], hi[i][j] + hi[j][l])
+                if new != (lo[i][l], hi[i][l]):
+                    (lo[i][l], hi[i][l]), changed = new, True
+
+
+def test_close_matches_sweeping_to_a_fixpoint():
+    # random seeds, most of them describing no order, with every shift at
+    # least the least one its residue pair allows
+    rng = random.Random(41)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        V = _no_shifts(n)
+        for _ in range(rng.randint(0, 2 * n)):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            low = (0 if j > i else 1) + rng.randint(0, 3)
+            V[0][i][j] = min(V[0][i][j], low)
+            V[1][i][j] = max(V[1][i][j], INF if rng.random() < 0.2 else low + rng.randint(0, 3))
+        W = deepcopy(V)
+        _close(V, n)
+        _closed_by_sweeps(W, n)
+        assert V == W
 
 
 def test_residue():
@@ -214,6 +271,70 @@ def test_meet_is_reverse_join_of_reverses():
             direct = meet_tito([t1, t2])
             dual = reverse_tito(join_tito([reverse_tito(t1), reverse_tito(t2)]))
             assert direct == dual
+
+
+def _cover_steps(rng, t, steps):
+    # t moved by covers, each one down (undo a lower wall) or one up (the
+    # same move on the reversed order)
+    for _ in range(steps):
+        up = rng.random() < 0.5
+        s = reverse_tito(t) if up else t
+        walls = sorted(lower_walls_tito(s))
+        if walls:
+            s = flip_tito(s, rng.choice(walls))
+            t = reverse_tito(s) if up else s
+    return t
+
+
+def test_join_meet_of_nearby_orders_at_periods_8_and_16():
+    # inputs a few covers apart, so the join and meet stay close to them;
+    # the chain oracle shares no code with the shift-set closure
+    rng = random.Random(816)
+    cache: dict = {}
+    for n, cases in ((8, 40), (16, 20)):
+        for _ in range(cases):
+            base = random_tito(rng, n, -n, 2 * n)
+            ts = tuple(_cover_steps(rng, base, rng.randint(1, 4)) for _ in range(rng.randint(2, 3)))
+            j, m = join_tito(ts), meet_tito(ts)
+            assert all(leq_tito(t, j) and leq_tito(m, t) for t in ts)
+            assert check_join_oracle(cache, ts, j, 4 * n) == []
+            assert check_meet_oracle(cache, ts, m, 4 * n) == []
+
+
+@st.composite
+def _tito_triples(draw):
+    n = draw(st.integers(1, 5))
+
+    def one():
+        residues = draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = []
+        for start, stop in zip([0] + cuts, cuts + [n]):
+            window = tuple(r + n * draw(st.integers(-2, 2)) for r in residues[start:stop])
+            blocks.append(Block(draw(st.sampled_from((WAXING, WANING))), window))
+        return normalize_tito(Tito(n, tuple(blocks)))
+
+    return n, one(), one(), one()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_tito_triples())
+def test_lattice_laws(case):
+    n, x, y, z = case
+
+    def join(*ts):
+        return join_tito(ts, n)
+
+    def meet(*ts):
+        return meet_tito(ts, n)
+
+    assert join(x, y) == join(y, x) and meet(x, y) == meet(y, x)
+    assert join(join(x, y), z) == join(x, join(y, z)) == join(x, y, z)
+    assert meet(meet(x, y), z) == meet(x, meet(y, z)) == meet(x, y, z)
+    assert join(x, x) == x == meet(x, x)
+    assert join(x, meet(x, y)) == x == meet(x, join(x, y))
+    for low, high in ((x, y), (y, x), (x, join(x, z)), (meet(y, z), y)):
+        assert leq_tito(low, high) == (join(low, high) == high)
 
 
 def test_reverse():
