@@ -87,7 +87,7 @@ def _take(args: argparse.Namespace, count: int) -> list[str]:
 
 def _arc_lines(args: argparse.Namespace, arcs: Iterable, fmt: Callable, n: int | None) -> None:
     # the arcs of any flavor, sorted, as an SVG drawing, a JSON list or text lines
-    ordered = sorted(arcs, key=lambda x: (x.a, x.b, sorted(x.left), sorted(x.right)))
+    ordered = sorted(arcs, key=sn._arc_key)
     if args.format == "svg":
         _emit(args, rdr.render_arcs(ordered, args.mode, n=n))
     elif args.format == "json":
@@ -213,24 +213,26 @@ def _run_dyer(args: argparse.Namespace) -> None:
         raise ParseError(f"dyer does not support action {args.action!r}")
 
 
+def _need_window(args: argparse.Namespace) -> tuple[int, int]:
+    if args.a is None or args.b is None:
+        raise ParseError(f"--a and --b are required for kind {args.kind!r}")
+    return args.a, args.b
+
+
 def _lab_poset(args: argparse.Namespace) -> lab.FinitePoset:
     if args.kind == "sn":
         return lab.weak_order_poset(_need_n(args))
     if args.kind == "tot":
-        if args.a is None or args.b is None:
-            raise ParseError("--a and --b are required for kind 'tot'")
-        return lab.tot_quotient(args.a, args.b)
+        return lab.tot_quotient(*_need_window(args))
     if args.kind == "tito":
-        if args.a is None or args.b is None:
-            raise ParseError("--a and --b are required for kind 'tito'")
-        return lab.tito_quotient(_need_n(args), args.a, args.b).poset
+        return lab.tito_quotient(_need_n(args), *_need_window(args)).poset
     raise ParseError(f"unknown kind {args.kind!r}")
 
 
 def _run_lab(args: argparse.Namespace) -> None:
     if args.action == "quotient":
         if args.kind == "tito":
-            quotient = lab.tito_quotient(_need_n(args), args.a, args.b)
+            quotient = lab.tito_quotient(_need_n(args), *_need_window(args))
             if args.format == "dot":
                 _emit(args, rdr.render_hasse(quotient.poset))
             else:
@@ -269,6 +271,8 @@ def _run_lab(args: argparse.Namespace) -> None:
 
 def _run_render(args: argparse.Namespace) -> None:
     if args.action == "arcs":
+        if args.n is not None and args.n < 1:
+            raise ParseError(f"--n must be positive, got {args.n}")
         parsed: list = []
         for word in args.args:
             if word.strip().startswith("<"):

@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
 )
 from .sn import Permutation, format_perm, word_inversions
-from .tito import Tito, _close, _locate, _no_shifts, _shift_of, _tito_from_valid_sets
+from .tito import Tito, _close, _hulls, _locate, _shift_of, _tito_from_valid_sets
 
 MAX_POSET = 10_000
 
@@ -476,10 +476,10 @@ def tito_window_word(t: Tito, a: int, b: int) -> tuple[int, ...]:
     return tuple(sorted(range(a, b + 1), key=lambda x: _locate(t, x)))
 
 
-def _forces_more(V: tuple, pairs: list, inverted: list[bool]) -> bool:
+def _forces_more(V: tuple, shifts: list, inverted: list[bool]) -> bool:
     # some window pair's shift lies in V exactly when the word keeps it in order
     lo, hi = V
-    return any((lo[i][j] <= d <= hi[i][j]) != inv for inv, (_, _, i, j, d) in zip(inverted, pairs))
+    return any((lo[i][j] <= d <= hi[i][j]) != inv for inv, (i, j, d) in zip(inverted, shifts))
 
 
 def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:
@@ -501,21 +501,20 @@ def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:
         raise PreconditionViolated("need n >= 1")
     if n > 7:
         raise TooLarge(f"period {n} (limit 7)")
-    # each pair of the window as (x, y) by offset from a, and its shift set
-    pairs = [(x - a, y - a, *_shift_of(x, y, n)) for x, y in combinations(values, 2)]
+    # each pair of the window as (x, y) by offset from a, and its shift
+    offsets = [(x - a, y - a) for x, y in combinations(values, 2)]
+    shifts = [_shift_of(x + a, y + a, n) for x, y in offsets]
     words: list[tuple[int, ...]] = []
     reps: dict[str, Tito] = {}
     for word in permutations(values):
         at = sorted(range(len(word)), key=word.__getitem__)  # offset -> place
-        inverted = [at[y] < at[x] for x, y, _, _, _ in pairs]
-        V = lo, hi = _no_shifts(n)
-        for _, _, i, j, d in compress(pairs, inverted):
-            lo[i][j], hi[i][j] = min(lo[i][j], d), max(hi[i][j], d)
+        inverted = [at[y] < at[x] for x, y in offsets]
+        V = _hulls(compress(shifts, inverted), n)
         # the hull of the forced shifts may already hold a pair the word keeps
-        if _forces_more(V, pairs, inverted):
+        if _forces_more(V, shifts, inverted):
             continue
         _close(V, n)
-        if _forces_more(V, pairs, inverted):
+        if _forces_more(V, shifts, inverted):
             continue
         words.append(word)
         reps[window_word_label(word)] = _tito_from_valid_sets(V, n)

@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated
 from .lattices import FinitePoset, cover_matrix
-from .sn import Arc, arcs_cross
-from .tito import WrappedArc, wrapped_cross
+from .sn import Arc, _arc_key, arcs_cross
+from .tito import WrappedArc, _check_span, wrapped_cross
 
 PITCH = 48.0
 BASELINE = 120.0
@@ -32,10 +32,6 @@ CIRCLE = "circle"
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
-
-
-def _sorted_arcs(arcs: Iterable[Arc | WrappedArc]) -> list[Arc | WrappedArc]:
-    return sorted(arcs, key=lambda x: (x.a, x.b, sorted(x.left), sorted(x.right)))
 
 
 def _any_crossing(arcs: Sequence[Arc | WrappedArc], n: int | None) -> bool:
@@ -75,6 +71,7 @@ def _render_line(arcs: list[Arc | WrappedArc], n: int | None) -> str:
         raise PreconditionViolated("empty arc set needs an explicit n")
     lo = min([1 if n is not None else arcs[0].a] + [x.a for x in arcs])
     hi = max([n if n is not None else arcs[0].b] + [x.b for x in arcs])
+    _check_span("drawing", hi - lo)
 
     def px(v: int) -> float:
         return MARGIN + (v - lo) * PITCH
@@ -111,6 +108,7 @@ def _render_circle(arcs: list[Arc | WrappedArc], n: int | None) -> str:
     if n is None:
         raise PreconditionViolated("circle mode needs n")
     span = max([n] + [x.b - x.a for x in arcs])
+    _check_span("drawing", span)
     outer = CIRCLE_R + SPIRAL * span / n + CIRCLE_BUMP
     cx = cy = outer + MARGIN
 
@@ -162,9 +160,9 @@ def render_arcs(
     ``line`` puts the integers at a fixed pitch on a horizontal baseline;
     ``circle`` puts the n residues clockwise on a circle around a center
     dot and lets translates spiral outward.  Crossing inputs are legal but
-    annotated.
+    annotated.  A drawing may span at most tito.MAX_SPAN values.
     """
-    items = _sorted_arcs(arcs)
+    items = sorted(arcs, key=_arc_key)
     if mode == LINE:
         return _render_line(items, n)
     if mode == CIRCLE:

@@ -429,6 +429,7 @@ def permutation_from_noncrossing(arcs: Iterable[Arc], n: int) -> Permutation:
 
 
 def _arc_key(x: Arc) -> tuple:
+    # the one order for arcs of both kinds: the ends and the left side fix the right
     return (x.a, x.b, tuple(sorted(x.left)))
 
 

@@ -13,9 +13,10 @@ An inversion is a class of pairs <a,b>, a < b, b before a, up to
 translating both entries by n.  Containment of inversion sets is a
 complete lattice order.  An order is determined by its shift sets
 V[i][j] = {d : <i, j + dn> is an inversion}, one integer interval per pair
-of residues; a join closes the hull of the inputs' intervals in one
-Floyd-Warshall pass and reads the windows straight off the closed
-intervals.  Meets go through the order-reversing involution.
+of residues.  Every computed order leaves through one certified decoder
+that reads the windows off closed shift sets: joins, flips and the
+join-irreducibles of wrapped arcs.  Meets go through the order-reversing
+involution.
 
 >>> t = parse_windows("[2,1]", 2)
 >>> lt_tito(t, 2, 1)
@@ -31,7 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .crossing import tuples_cross
 from .errors import (
@@ -42,11 +43,21 @@ from .errors import (
     NotWidelyGenerated,
     NotWrapped,
     ParseError,
+    TooLarge,
 )
-from .sn import _common_n
+from .sn import _arc_key, _common_n
 
 WAXING = "waxing"
 WANING = "waning"
+
+# The most values an arc or a drawing may span: both are written value by
+# value, and a window of a few digits can have a wall spanning millions.
+MAX_SPAN = 10_000
+
+
+def _check_span(what: str, span: int) -> None:
+    if span > MAX_SPAN:
+        raise TooLarge(f"{what} spans {span} values (limit {MAX_SPAN})")
 
 
 def residue(x: int, n: int) -> int:
@@ -550,6 +561,23 @@ def _tito_from_valid_sets(V: Shifts, n: int) -> Tito:
     return t
 
 
+def _hulls(shifts: Iterable[tuple[int, int, int]], n: int) -> Shifts:
+    """The matrix holding in V[i][j] the hull of the d of the (i, j, d) given."""
+    V = lo, hi = _no_shifts(n)
+    for i, j, d in shifts:
+        lo[i][j], hi[i][j] = min(lo[i][j], d), max(hi[i][j], d)
+    return V
+
+
+def _order_of_pairs(pairs: Iterable[tuple[int, int]], n: int) -> Tito:
+    """The least order inverting every pair (x, y), x < y.  The shift sets
+    of each such order are closed intervals, so they hold the closure of
+    the pairs' hulls; when that closure decodes, its order is the least."""
+    V = _hulls((_shift_of(x, y, n) for x, y in pairs), n)
+    _close(V, n)
+    return _tito_from_valid_sets(V, n)
+
+
 # ---------------------------------------------------------------------------
 # lattice operations
 
@@ -613,39 +641,24 @@ def lower_walls_tito(t: Tito) -> frozenset[ReflectionIndex]:
 def flip_tito(t: Tito, w: ReflectionIndex) -> Tito:
     """The cover below t obtained by undoing the wall w.
 
-    A real wall swaps the two residue classes throughout; the imaginary
-    wall <a,a+n> turns the waning block [~a] back to waxing.
+    A real wall <a,b> joins neighbours of one block: b is the last
+    translate of its class before a, so its shift d is an end of V[i][j],
+    the threshold of a waxing block or the start of a waning tail, and
+    dropping d takes out exactly w's class.  The imaginary wall <a,a+n> of
+    a waning singleton [~a] takes out every <a,a+dn>: V[a][a] empties.
     """
     w = reflection_index(w.a, w.b, t.n)
     if w not in lower_walls_tito(t):
         raise NotAWall(f"{w} is not a lower wall of {format_windows(t)}")
-    n = t.n
-    blocks = []
-    for blk in t.blocks:
-        win = blk.window
-        k = blk.size
-        hit = None
-        for p in range(k - 1):
-            if win[p] > win[p + 1] and reflection_index(win[p + 1], win[p], n) == w:
-                hit = p
-                break
-        else:
-            wrap = win[0] + n if blk.direction == WAXING else win[0] - n
-            if win[-1] > wrap and reflection_index(wrap, win[-1], n) == w:
-                hit = k - 1
-        if hit is None:
-            blocks.append(blk)
-        elif hit < k - 1:
-            nw = win[:hit] + (win[hit + 1], win[hit]) + win[hit + 2 :]
-            blocks.append(Block(blk.direction, nw))
-        elif k == 1:
-            # the wall is imaginary: the waning singleton becomes waxing
-            blocks.append(Block(WAXING, win))
-        elif blk.direction == WAXING:
-            blocks.append(Block(WAXING, (win[-1] - n,) + win[1:-1] + (win[0] + n,)))
-        else:
-            blocks.append(Block(WANING, (win[-1] + n,) + win[1:-1] + (win[0] - n,)))
-    return normalize_tito(Tito(n, tuple(blocks)))
+    V = lo, hi = _valid_sets(t)
+    i, j, d = _shift_of(w.a, w.b, t.n)
+    if i == j or lo[i][j] == hi[i][j]:
+        lo[i][j], hi[i][j] = INF, -INF
+    elif d == lo[i][j]:
+        lo[i][j] = d + 1
+    else:
+        hi[i][j] = d - 1
+    return _tito_from_valid_sets(V, t.n)
 
 
 def _crosses_translate(w1: WrappedArc, w2: WrappedArc, shift: int) -> bool:
@@ -682,67 +695,46 @@ def lower_wrapped_arcs(t: Tito) -> frozenset[WrappedArc]:
     """
     arcs = set()
     for w in lower_walls_tito(t):
+        _check_span(f"wall {w}", w.b - w.a)
         left = frozenset(x for x in range(w.a + 1, w.b) if lt_tito(t, x, w.b))
         right = frozenset(range(w.a + 1, w.b)) - left
         arcs.add(WrappedArc(w.a, w.b, left, right))
     return frozenset(arcs)
 
 
-def ji_from_wrapped_arc(p: WrappedArc, n: int) -> Tito:
-    """The unique element with p as its only lower arc.
+def _arc_pairs(p: WrappedArc, n: int) -> Iterator[tuple[int, int]]:
+    # the pairs that the arc word left, b, a, right inverts: <a,b>, <a,l>,
+    # <r,b> and <r,l> for r < l.  Within one residue class the shift of
+    # <r,l> falls as r rises, so the farthest and the nearest r below l
+    # give the hull of the class: n pairs per l, not one per r.
+    yield p.a, p.b
+    ends: dict[int, list[int]] = {}  # residue -> [farthest, nearest] r so far
+    for x in range(p.a + 1, p.b):
+        if x in p.right:
+            yield x, p.b
+            ends.setdefault(x % n, [x, x])[1] = x
+        else:
+            yield p.a, x
+            for far, near in ends.values():
+                yield far, x
+                yield near, x
 
-    The window splits into cases by how far the arc wraps: less than one
-    full period, exactly one, or more than one with a + n bypassed right
-    or left.
+
+def ji_from_wrapped_arc(p: WrappedArc, n: int) -> Tito:
+    """The unique element j(p) with p as its only lower arc.
+
+    Any order with the lower arc p puts left before b, b just before a
+    and right after a, so it inverts the pairs of _arc_pairs; their
+    closure decodes to the least order m inverting them (_order_of_pairs),
+    and m <= j(p).  The wall <a,b> of p is in m and not in j(p)'s one
+    lower cover c, so m is not below c.  Were m < j(p), then m v c = j(p)
+    as j(p) covers c, and j(p) would not be join-irreducible; so m = j(p).
+    A closure that decodes to no order raises InconsistentEncoding, never
+    a wrong answer.
     """
     if not is_wrapped_arc(p, n):
         raise NotWrapped(f"{format_wrapped_arc(p)} crosses its own translates")
-    a, b = p.a, p.b
-    lefts, rights = sorted(p.left), sorted(p.right)
-    if b - a < n:
-        window = lefts + [b, a] + rights + list(range(b + 1, n + a))
-        return normalize_tito(Tito(n, (Block(WAXING, tuple(window)),)))
-    if b - a == n:
-        blocks = []
-        if lefts:
-            blocks.append(Block(WAXING, tuple(lefts)))
-        blocks.append(Block(WANING, (a,)))
-        if rights:
-            blocks.append(Block(WAXING, tuple(rights)))
-        return normalize_tito(Tito(n, tuple(blocks)))
-    ra, rb = residue(a, n), residue(b, n)
-    if a + n in p.right:
-        cs = []
-        for x in range(1, n + 1):
-            if x in (ra, rb):
-                continue
-            lx = [e for e in p.left if residue(e, n) == x]
-            below = a - 1 - (a - 1 - x) % n
-            cs.append(max(lx) if lx else below)
-        window = sorted(cs) + [b, a]
-        return normalize_tito(Tito(n, (Block(WAXING, tuple(window)),)))
-    ells, cs, rs = [], [], []
-    for x in range(1, n + 1):
-        if x in (ra, rb):
-            continue
-        lx = [e for e in p.left if residue(e, n) == x]
-        rx = [e for e in p.right if residue(e, n) == x]
-        if lx and rx:
-            # the central block wanes, so the translates of the window
-            # entry that precede b are those at or above it: min, not max
-            cs.append(min(lx))
-        elif lx:
-            ells.append(max(lx))
-        else:
-            # the span exceeds n, so every other class meets left or right
-            rs.append(min(rx))
-    blocks = []
-    if ells:
-        blocks.append(Block(WAXING, tuple(sorted(ells))))
-    blocks.append(Block(WANING, tuple(sorted(cs) + [b, a])))
-    if rs:
-        blocks.append(Block(WAXING, tuple(sorted(rs))))
-    return normalize_tito(Tito(n, tuple(blocks)))
+    return _order_of_pairs(_arc_pairs(p, n), n)
 
 
 def is_widely_generated_tito(t: Tito) -> bool:
@@ -763,10 +755,13 @@ def canonical_join_rep_tito(t: Tito) -> frozenset[WrappedArc]:
 
 
 def join_of_cyclic_collection(arcs: Iterable[WrappedArc], n: int) -> Tito:
-    """Join of the irreducibles of a pairwise non-crossing set of arcs."""
-    items = sorted(
-        arcs, key=lambda w: (w.a, w.b, tuple(sorted(w.left)))
-    )
+    """Join of the irreducibles of a pairwise non-crossing set of arcs.
+
+    An order lies above every j(p) exactly when it inverts every arc's
+    pairs (see ji_from_wrapped_arc), so the join is the least order
+    inverting all of them: one closure, with no order built per arc.
+    """
+    items = sorted(arcs, key=_arc_key)
     for w in items:
         if wrapped_cross(w, w, n):
             raise Crossing(f"{format_wrapped_arc(w)} crosses its own translates")
@@ -775,4 +770,4 @@ def join_of_cyclic_collection(arcs: Iterable[WrappedArc], n: int) -> Tito:
             raise Crossing(
                 f"{format_wrapped_arc(w1)} crosses {format_wrapped_arc(w2)}"
             )
-    return join_tito([ji_from_wrapped_arc(w, n) for w in items], n)
+    return _order_of_pairs((pair for w in items for pair in _arc_pairs(w, n)), n)

@@ -244,3 +244,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("<svg")
+
+
+def _one_line_refusal(capsys, code, *argv):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_missing_input_is_refused_in_one_line(capsys):
+    err = _one_line_refusal(capsys, 2, "lab", "quotient", "--kind", "tito", "--n", "2")
+    assert "--a and --b are required for kind 'tito'" in err
+    err = _one_line_refusal(capsys, 2, "render", "arcs", "(1,2||)", "--n", "0", "--mode", "circle")
+    assert "--n must be positive, got 0" in err
+    err = _one_line_refusal(capsys, 2, "render", "arcs", "<1,2||>", "--n", "0")
+    assert "--n must be positive, got 0" in err
+
+
+def test_arc_and_drawing_spans_are_bounded(capsys):
+    # the wall <2,10002> spans 10000 values, the limit, and <2,10003> one more
+    code, out, _ = run(capsys, "tito", "arcs", "[~10002,2][1]", "--n", "3")
+    assert code == 0 and out.startswith("<2,10002|") and out.count("\n") == 1
+    err = _one_line_refusal(capsys, 1, "tito", "arcs", "[~10003,2][3]", "--n", "3")
+    assert "too large: wall <2,10003> spans 10001 values (limit 10000)" in err
+    code, out, _ = run(capsys, "render", "arcs", "(1,2||)", "--n", "10001")
+    assert code == 0 and out.count("<circle") == 10001
+    err = _one_line_refusal(capsys, 1, "render", "arcs", "(1,2||)", "--n", "10002")
+    assert "too large: drawing spans 10001 values (limit 10000)" in err

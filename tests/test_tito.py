@@ -22,6 +22,7 @@ from weakorder.tito import (
     Block,
     INF,
     Tito,
+    WrappedArc,
     _close,
     _no_shifts,
     _tito_from_valid_sets,
@@ -365,6 +366,29 @@ def test_flip_frozen():
         flip_tito(_t("[1][2]", 2), reflection_index(1, 2, 2))
 
 
+def test_flip_undoes_exactly_the_wall():
+    # the flip lies below t and differs from it, over span 4n, only in the
+    # wall's class, or in every <a, a + dn> when the wall is imaginary
+    rng = random.Random(613)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        t = random_tito(rng, n, -n, 2 * n)
+        for w in lower_walls_tito(t):
+            f = flip_tito(t, w)
+            assert leq_tito(f, t) and f != t
+            lost = {
+                (r, k)
+                for r in range(1, n + 1)
+                for k in range(1, 4 * n + 1)
+                if lt_tito(t, r + k, r) != lt_tito(f, r + k, r)
+            }
+            assert all(lt_tito(t, r + k, r) for r, k in lost)
+            if is_imaginary_index(w, n):
+                assert lost == {(w.a, d * n) for d in range(1, 5)}
+            else:
+                assert lost == {(w.a, w.b - w.a)}
+
+
 def test_descent_to_bottom():
     t = _t("[0,3]", 2)
     steps = 0
@@ -447,6 +471,25 @@ def test_ji_from_wrapped_arc_frozen():
         assert format_windows(j) == expected
         assert _arcs(j) == {text}
         assert len(lower_walls_tito(j)) == 1
+
+
+def test_ji_from_every_small_wrapped_arc():
+    # every wrapped arc with n <= 4 and span <= 3n: j(p) has p as its only
+    # lower arc, on exactly one lower wall
+    count = 0
+    for n in range(1, 5):
+        for a, span in product(range(1, n + 1), range(1, 3 * n + 1)):
+            inner = list(range(a + 1, a + span))
+            for bits in range(1 << len(inner)):
+                left = frozenset(v for k, v in enumerate(inner) if bits >> k & 1)
+                p = WrappedArc(a, a + span, left, frozenset(inner) - left)
+                if not is_wrapped_arc(p, n):
+                    continue
+                j = ji_from_wrapped_arc(p, n)
+                assert lower_wrapped_arcs(j) == {p}
+                assert len(lower_walls_tito(j)) == 1
+                count += 1
+    assert count == 616
 
 
 def test_widely_generated():
