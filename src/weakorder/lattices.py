@@ -11,7 +11,10 @@ Posets of orderings (S_n and the window quotients) are built by
 their words.  The join and meet tables come from one routine,
 ``_least_bounds``, run on the order matrix and on its transpose; each
 FinitePoset caches them, so the lattice check, semidistributivity, canonical
-join representations and congruences build each table once per poset.
+join representations and congruences build each table once per poset.  The
+cover matrix is cached the same way: the irreducibles, the semidistributivity
+checks, the JSON and DOT output and the CLI's cover count share one boolean
+square per poset.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ class FinitePoset:
     def meets(self) -> tuple[np.ndarray | None, str | None]:
         """The meet table: least bounds of the reversed order."""
         return _least_bounds(self, self.leq.T, "lower", "greatest")
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        """covers[i, j] holds when elements[j] covers elements[i]; read-only."""
+        strict = self.leq & ~np.eye(len(self), dtype=bool)
+        cov = strict & ~_bool_square(strict)
+        cov.setflags(write=False)
+        return cov
 
     def index(self, label: str) -> int:
         try:
@@ -112,9 +123,8 @@ def poset_from_pairs(
 
 
 def cover_matrix(p: FinitePoset) -> np.ndarray:
-    """cover[i, j] holds when elements[j] covers elements[i]."""
-    strict = p.leq & ~np.eye(len(p), dtype=bool)
-    return strict & ~_bool_square(strict)
+    """cover[i, j] holds when elements[j] covers elements[i] (p.covers)."""
+    return p.covers
 
 
 def _bool_square(m: np.ndarray) -> np.ndarray:
@@ -208,8 +218,7 @@ def _tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
 def join_irreducibles_fin(p: FinitePoset) -> frozenset[str]:
     """Elements with exactly one lower cover."""
     _tables(p)
-    cov = cover_matrix(p)
-    below = cov.sum(axis=0)
+    below = p.covers.sum(axis=0)
     return frozenset(p.elements[i] for i in range(len(p)) if below[i] == 1)
 
 
@@ -222,10 +231,9 @@ def canonical_join_rep_fin(p: FinitePoset, x: str) -> frozenset[str] | None:
     """
     join, meet = _tables(p)
     xi = p.index(x)
-    cov = cover_matrix(p)
     joinands: set[int] = set()
-    for yi in np.nonzero(cov[:, xi])[0]:
-        least = _meet_all(meet, np.nonzero(join[:, yi] == xi)[0])
+    for yi in np.nonzero(p.covers[:, xi])[0]:
+        least = reduce(lambda m, z: meet[m, z], np.nonzero(join[:, yi] == xi)[0])
         if join[least, yi] != xi:
             return None
         joinands.add(int(least))
@@ -238,31 +246,37 @@ def canonical_join_rep_fin(p: FinitePoset, x: str) -> frozenset[str] | None:
     return frozenset(p.elements[i] for i in items)
 
 
-def _meet_all(meet: np.ndarray, members: np.ndarray) -> int:
-    return reduce(lambda m, z: meet[m, z], members)
-
-
-def _semidistributive(join: np.ndarray, meet: np.ndarray) -> bool:
-    # For each x and t, the y with x v y = t must be closed under meets:
-    # their meet m has x v m = t.  Swapping the tables checks the dual law.
-    for x in range(len(join)):
-        col = join[:, x]
-        for t in np.unique(col):
-            if join[_meet_all(meet, np.nonzero(col == t)[0]), x] != t:
-                return False
+def _kappa_exists(leq: np.ndarray, meet: np.ndarray, covers: np.ndarray) -> bool:
+    # A finite lattice is meet-semidistributive exactly when every
+    # join-irreducible j, with lower cover j_*, has a greatest element
+    # kappa(j) of K(j) = {x : j ^ x = j_*} (Freese, Jezek & Nation, "Free
+    # Lattices", section 2.6; Reading, Speyer & Thomas, "The fundamental
+    # theorem of finite semidistributive lattices", 2021).  A greatest element
+    # of K(j) has more elements below it than any other member, so the member
+    # with the largest down-set is the one candidate.  Given leq.T, the join
+    # table and covers.T, the same test is the join-semidistributive dual.
+    down = leq.sum(axis=0)
+    for j in np.nonzero(covers.sum(axis=0) == 1)[0]:
+        k = meet[j] == covers[:, j].argmax()
+        if not leq[k, np.argmax(np.where(k, down, -1))].all():
+            return False
     return True
 
 
 def is_join_semidistributive_fin(p: FinitePoset) -> bool:
-    """x v y = x v z implies x v (y ^ z) = x v y, checked over all triples."""
-    join, meet = _tables(p)
-    return _semidistributive(join, meet)
+    """x v y = x v z implies x v (y ^ z) = x v y: checked as the dual kappa
+    criterion, a least element of {x : m v x = m^*} for every
+    meet-irreducible m with upper cover m^*."""
+    join, _ = _tables(p)
+    return _kappa_exists(p.leq.T, join, p.covers.T)
 
 
 def is_meet_semidistributive_fin(p: FinitePoset) -> bool:
-    """Dual of is_join_semidistributive_fin."""
-    join, meet = _tables(p)
-    return _semidistributive(meet, join)
+    """x ^ y = x ^ z implies x ^ (y v z) = x ^ y: checked as the kappa
+    criterion, a greatest element of {x : j ^ x = j_*} for every
+    join-irreducible j with lower cover j_*."""
+    _, meet = _tables(p)
+    return _kappa_exists(p.leq, meet, p.covers)
 
 
 def is_semidistributive_fin(p: FinitePoset) -> bool:

@@ -36,7 +36,7 @@ from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .crossing import tuples_cross
+from .crossing import side_mask, tuples_cross
 from .errors import (
     Crossing,
     MixedSizes,
@@ -395,7 +395,10 @@ def canonical_join_rep_sn(p: Permutation) -> frozenset[Arc]:
 
 def arcs_cross(x: Arc, y: Arc) -> bool:
     """True when the two arcs cannot be drawn disjointly (shared endpoint kinds count)."""
-    return tuples_cross(x.a, x.b, x.left, x.right, y.a, y.b, y.left, y.right)
+    return tuples_cross(
+        x.a, x.b, side_mask(x.a, x.left), side_mask(x.a, x.right),
+        y.a, y.b, side_mask(y.a, y.left), side_mask(y.a, y.right),
+    )
 
 
 def ji_from_arc_sn(x: Arc, n: int) -> Permutation:

@@ -34,7 +34,7 @@ from functools import cached_property, cmp_to_key
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .crossing import tuples_cross
+from .crossing import side_mask, tuples_cross
 from .errors import (
     Crossing,
     InconsistentEncoding,
@@ -196,6 +196,12 @@ class WrappedArc:
             raise ValueError(
                 f"left/right must split ({self.a},{self.b}) exclusively"
             )
+
+    @cached_property
+    def _sides(self) -> tuple[int, int]:
+        # left and right as bitmasks from a (crossing.side_mask); kept in the
+        # instance dict, so eq and hash use the fields
+        return side_mask(self.a, self.left), side_mask(self.a, self.right)
 
     def __str__(self) -> str:
         return format_wrapped_arc(self)
@@ -661,16 +667,18 @@ def flip_tito(t: Tito, w: ReflectionIndex) -> Tito:
     return _tito_from_valid_sets(V, t.n)
 
 
-def _crosses_translate(w1: WrappedArc, w2: WrappedArc, shift: int) -> bool:
-    # w1 against the translate of w2 by shift
-    moved = [frozenset(x + shift for x in side) for side in (w2.left, w2.right)]
-    return tuples_cross(w1.a, w1.b, w1.left, w1.right, w2.a + shift, w2.b + shift, *moved)
+def _crosses_translate(w1: WrappedArc, w2: WrappedArc, shifts: Iterable[int]) -> bool:
+    # w1 against the translates of w2 by each shift; the side masks are
+    # measured from the arcs' starts, so they serve every translate
+    return any(
+        tuples_cross(w1.a, w1.b, *w1._sides, w2.a + s, w2.b + s, *w2._sides) for s in shifts
+    )
 
 
 def is_wrapped_arc(p: WrappedArc, n: int) -> bool:
     """True when no two translates of the arc cross each other; only shifts
     k n below the span b - a can make the arc meet a translate."""
-    return not any(_crosses_translate(p, p, k * n) for k in range(1, (p.b - p.a - 1) // n + 1))
+    return not _crosses_translate(p, p, range(n, p.b - p.a, n))
 
 
 def wrapped_cross(w1: WrappedArc, w2: WrappedArc, n: int) -> bool:
@@ -682,8 +690,8 @@ def wrapped_cross(w1: WrappedArc, w2: WrappedArc, n: int) -> bool:
     """
     lo = -((w2.b - w1.a) // n)
     hi = (w1.b - w2.a) // n
-    return any(
-        _crosses_translate(w1, w2, k * n) for k in range(lo, hi + 1) if k or w1 != w2
+    return _crosses_translate(
+        w1, w2, (k * n for k in range(lo, hi + 1) if k or w1 != w2)
     )
 
 

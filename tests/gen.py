@@ -3,13 +3,16 @@
 The join oracle never calls the fixpoint it is checking: an inversion of a
 join must be reachable by an increasing chain of inversions of the inputs
 (the chain rule applied inside the span), and conversely.  The meet oracle
-is its dual through complements.
+is its dual through complements.  The lattice laws are checked the same way
+for every kind of order, on hypothesis-drawn triples.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from weakorder.tito import (
     WAXING,
@@ -23,6 +26,35 @@ from weakorder.tito import (
     reflection_index,
     wrapped_cross,
 )
+
+
+def assert_lattice_laws(join, meet, leq, x, y, z) -> None:
+    """join and meet (each of a list) are commutative, associative,
+    idempotent and absorptive, and leq(a, b) holds exactly when a v b = b."""
+    assert join([x, y]) == join([y, x]) and meet([x, y]) == meet([y, x])
+    assert join([join([x, y]), z]) == join([x, join([y, z])]) == join([x, y, z])
+    assert meet([meet([x, y]), z]) == meet([x, meet([y, z])]) == meet([x, y, z])
+    assert join([x, x]) == x == meet([x, x])
+    assert join([x, meet([x, y])]) == x == meet([x, join([x, y])])
+    for low, high in ((x, y), (y, x), (x, join([x, z])), (meet([y, z]), y)):
+        assert leq(low, high) == (join([low, high]) == high)
+
+
+@st.composite
+def tito_triples(draw, max_n: int = 5):
+    """A period n and three orders of period n, windows within 2n of [1..n]."""
+    n = draw(st.integers(1, max_n))
+
+    def one():
+        residues = draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = []
+        for start, stop in zip([0] + cuts, cuts + [n]):
+            window = tuple(r + n * draw(st.integers(-2, 2)) for r in residues[start:stop])
+            blocks.append(Block(draw(st.sampled_from((WAXING, WANING))), window))
+        return normalize_tito(Tito(n, tuple(blocks)))
+
+    return n, one(), one(), one()
 
 
 def random_tito(rng: random.Random, n: int, lo: int, hi: int) -> Tito:

@@ -2,8 +2,9 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
-from gen import random_tito
+from gen import assert_lattice_laws, random_tito, tito_triples
 from weakorder.dyer import (
     bottom_dyer,
     dyer_join,
@@ -120,3 +121,13 @@ def test_leq_order_properties():
             assert dyer_leq(m, x) and dyer_leq(m, y)
             if dyer_leq(x, y) and dyer_leq(y, x):
                 assert x == y
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(tito_triples(max_n=4))
+def test_lattice_laws(case):
+    n, *ts = case
+    x, y, z = (dyer_normal_form(t) for t in ts)
+    assert_lattice_laws(
+        lambda ds: dyer_join(ds, n), lambda ds: dyer_meet(ds, n), dyer_leq, x, y, z
+    )

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from weakorder.lattices import (
     tot_quotient,
     weak_order_poset,
 )
+from weakorder.render import render_hasse
 from weakorder.sn import arc, arc_ideal, congruence_pi_down, format_perm, parse_perm
 from weakorder.tito import all_titos, format_windows, is_widely_generated_tito, leq_tito
 
@@ -106,14 +109,26 @@ def test_bound_tables_are_built_once_per_poset(monkeypatch):
 
     monkeypatch.setattr(lattices, "_least_bounds", counting)
     wo4 = weak_order_poset(4)
+    # after the poset is built, every boolean square is a cover-matrix build
+    squares = []
+    square = lattices._bool_square
+
+    def counting_square(m):
+        squares.append(m.shape)
+        return square(m)
+
+    monkeypatch.setattr(lattices, "_bool_square", counting_square)
     assert check_lattice(wo4).is_lattice
     assert is_join_semidistributive_fin(wo4) and is_meet_semidistributive_fin(wo4)
     assert join_irreducibles_fin(wo4) and canonical_join_rep_fin(wo4, "4321")
     assert congruence_generated_by(wo4, [("1234", "2134")])
+    assert poset_to_json(wo4) and render_hasse(wo4)
+    assert int(cover_matrix(wo4).sum()) == 36
     assert sorted(built) == ["lower", "upper"]
+    assert len(squares) == 1
     # the cached tables are shared, so no caller may write to them
     report = check_lattice(wo4)
-    for table in (report.join, report.meet):
+    for table in (report.join, report.meet, cover_matrix(wo4)):
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
@@ -139,6 +154,64 @@ def test_semidistributivity():
     diamond = _diamond()
     assert not is_join_semidistributive_fin(diamond)
     assert not is_meet_semidistributive_fin(diamond)
+
+
+def _triple_laws(p):
+    # Both semidistributive laws over all triples, on joins and meets read off
+    # leq by brute force: x v y is the element whose up-set is exactly the
+    # common upper bounds of x and y, and dually for x ^ y.
+    n = len(p)
+    rows = p.leq.tolist()
+    up = [sum(1 << j for j in range(n) if rows[i][j]) for i in range(n)]
+    down = [sum(1 << i for i in range(n) if rows[i][j]) for j in range(n)]
+    by_up = {mask: i for i, mask in enumerate(up)}
+    by_down = {mask: i for i, mask in enumerate(down)}
+    join = np.array([[by_up[up[x] & up[y]] for y in range(n)] for x in range(n)])
+    meet = np.array([[by_down[down[x] & down[y]] for y in range(n)] for x in range(n)])
+
+    def law(join, meet):
+        # x v y = x v z implies x v (y ^ z) = x v y, for all y, z at once
+        for x in range(n):
+            jx = join[x]
+            if ((jx[:, None] == jx[None, :]) & (jx[meet] != jx[:, None])).any():
+                return False
+        return True
+
+    return law(join, meet), law(meet, join)
+
+
+def _intersection_closed(rng):
+    # an intersection-closed family of subsets of a set of at most 6 points,
+    # with the whole set: a lattice under inclusion
+    full = (1 << rng.randint(1, 6)) - 1
+    sets = {full} | {rng.randrange(full + 1) for _ in range(rng.randint(1, 8))}
+    while more := {a & b for a in sets for b in sets} - sets:
+        sets |= more
+    family = sorted(sets)
+    leq = np.array([[a & b == a for b in family] for a in family])
+    return finite_poset([str(a) for a in family], leq)
+
+
+def test_semidistributivity_against_triples():
+    n5 = poset_from_pairs(
+        ["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]
+    )
+    named = [weak_order_poset(n) for n in range(1, 6)]
+    named += [tito_quotient(*w).poset for w in [(2, 1, 4), (3, 1, 6), (4, 1, 6)]]
+    for p, expected in [(_diamond(), (False, False)), (n5, (True, True))] + [
+        (p, (True, True)) for p in named
+    ]:
+        assert _triple_laws(p) == expected
+        assert (is_join_semidistributive_fin(p), is_meet_semidistributive_fin(p)) == expected
+    rng = random.Random(6)
+    kinds = set()
+    for _ in range(300):
+        p = _intersection_closed(rng)
+        laws = _triple_laws(p)
+        assert (is_join_semidistributive_fin(p), is_meet_semidistributive_fin(p)) == laws
+        kinds.add(laws)
+    # a kernel run on the other law's tables would fail the one-sided cases
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_congruence_checks():

@@ -2,7 +2,10 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gen import assert_lattice_laws
 from weakorder.errors import MixedSizes, NotBiclosed, NotIdeal, ParseError
 from weakorder.sn import (
     all_arcs,
@@ -203,3 +206,16 @@ def test_pairs_json_roundtrip():
     assert pairs_from_json(pairs_to_json(ps), 5) == ps
     with pytest.raises(ParseError):
         pairs_from_json("not json", 5)
+
+
+@st.composite
+def _perm_triples(draw):
+    n = draw(st.integers(1, 7))
+    return n, *(perm_of(draw(st.permutations(range(1, n + 1)))) for _ in range(3))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_perm_triples())
+def test_lattice_laws(case):
+    n, x, y, z = case
+    assert_lattice_laws(lambda ps: join_sn(ps, n), lambda ps: meet_sn(ps, n), leq_sn, x, y, z)

@@ -1,12 +1,19 @@
 import random
+import time
 from copy import deepcopy
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gen import check_join_oracle, check_meet_oracle, random_tito, random_windows
+from gen import (
+    assert_lattice_laws,
+    check_join_oracle,
+    check_meet_oracle,
+    random_tito,
+    random_windows,
+    tito_triples,
+)
 from weakorder.errors import (
     Crossing,
     InconsistentEncoding,
@@ -17,11 +24,8 @@ from weakorder.errors import (
     ParseError,
 )
 from weakorder.tito import (
-    WANING,
-    WAXING,
-    Block,
     INF,
-    Tito,
+    MAX_SPAN,
     WrappedArc,
     _close,
     _no_shifts,
@@ -302,40 +306,13 @@ def test_join_meet_of_nearby_orders_at_periods_8_and_16():
             assert check_meet_oracle(cache, ts, m, 4 * n) == []
 
 
-@st.composite
-def _tito_triples(draw):
-    n = draw(st.integers(1, 5))
-
-    def one():
-        residues = draw(st.permutations(range(1, n + 1)))
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-        blocks = []
-        for start, stop in zip([0] + cuts, cuts + [n]):
-            window = tuple(r + n * draw(st.integers(-2, 2)) for r in residues[start:stop])
-            blocks.append(Block(draw(st.sampled_from((WAXING, WANING))), window))
-        return normalize_tito(Tito(n, tuple(blocks)))
-
-    return n, one(), one(), one()
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(_tito_triples())
+@given(tito_triples())
 def test_lattice_laws(case):
     n, x, y, z = case
-
-    def join(*ts):
-        return join_tito(ts, n)
-
-    def meet(*ts):
-        return meet_tito(ts, n)
-
-    assert join(x, y) == join(y, x) and meet(x, y) == meet(y, x)
-    assert join(join(x, y), z) == join(x, join(y, z)) == join(x, y, z)
-    assert meet(meet(x, y), z) == meet(x, meet(y, z)) == meet(x, y, z)
-    assert join(x, x) == x == meet(x, x)
-    assert join(x, meet(x, y)) == x == meet(x, join(x, y))
-    for low, high in ((x, y), (y, x), (x, join(x, z)), (meet(y, z), y)):
-        assert leq_tito(low, high) == (join(low, high) == high)
+    assert_lattice_laws(
+        lambda ts: join_tito(ts, n), lambda ts: meet_tito(ts, n), leq_tito, x, y, z
+    )
 
 
 def test_reverse():
@@ -507,6 +484,23 @@ def test_canonical_join_rep_roundtrip():
     assert rep == lower_wrapped_arcs(t)
     assert join_of_cyclic_collection(rep, 2) == t
     assert join_of_cyclic_collection([], 2) == standard_tito(2)
+
+
+def test_wrapped_arcs_at_max_span_in_time():
+    # the crossing tests shift side masks per translate instead of building
+    # shifted sets, so an arc of MAX_SPAN against its 5000 translates is
+    # cheap (rebuilding shifted sets per translate, this test took 35 s on 2
+    # vCPU)
+    start = time.perf_counter()
+    t = _t(f"[~{MAX_SPAN},1]", 2)
+    arcs = lower_wrapped_arcs(t)
+    assert [w.b - w.a for w in arcs] == [MAX_SPAN - 1]
+    assert all(is_wrapped_arc(w, 2) and not wrapped_cross(w, w, 2) for w in arcs)
+    assert join_of_cyclic_collection(arcs, 2) == t
+    (w,) = arcs
+    bent = WrappedArc(w.a, w.b, w.left - {w.b - 1}, w.right | {w.b - 1})
+    assert not is_wrapped_arc(bent, 2) and wrapped_cross(w, bent, 2)
+    assert time.perf_counter() - start < 3
 
 
 def test_cyclic_collection_rejects_crossing():

@@ -3,7 +3,10 @@ import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gen import assert_lattice_laws
 from weakorder.errors import Crossing, NotBiclosed, ParseError, PreconditionViolated
 from weakorder.sn import arc, format_perm, inversions, join_sn, lower_arcs_sn, perm_of
 from weakorder.total_orders import (
@@ -222,3 +225,16 @@ def test_far_apart_pairs_cost_what_the_pairs_cost():
     with pytest.raises(NotBiclosed, match=r"\[\(0, 1\), \(5, 6\), \(6, 7\)\]"):
         finite_total_order([(0, 1), (5, 6), (6, 7)])
     assert time.perf_counter() - start < 2
+
+
+@st.composite
+def _embedded_word(draw):
+    # an ordering of a window of up to 6 integers, the identity elsewhere
+    lo = draw(st.integers(-4, 4))
+    return _embed(draw(st.permutations(range(lo, lo + draw(st.integers(1, 6))))))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_embedded_word(), _embedded_word(), _embedded_word())
+def test_lattice_laws(x, y, z):
+    assert_lattice_laws(join_tot, meet_tot, leq_tot, x, y, z)
