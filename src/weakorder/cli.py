@@ -13,15 +13,17 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import dyer as dy
-from . import lattices as lab
 from . import render as rdr
 from . import sn
 from . import tito as ti
 from . import total_orders as tot
 from .errors import InvalidWindows, NotAWall, ParseError, WeakorderError
+
+if TYPE_CHECKING:
+    from .lattices import FinitePoset
 
 
 def _error_phrase(exc: WeakorderError) -> str:
@@ -46,7 +48,8 @@ def _parse_tot(text: str) -> tot.FiniteTotalOrder:
         word = [int(v) for v in body.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad order word: {text!r}") from exc
-    if sorted(word) != list(range(min(word), max(word) + 1)):
+    # a full window: max - min + 1 distinct values, checked without the range
+    if len(set(word)) != len(word) or max(word) - min(word) + 1 != len(word):
         raise ParseError(f"order word must list a full integer window: {text!r}")
     return tot.FiniteTotalOrder(sn.word_inversions(word))
 
@@ -83,6 +86,13 @@ def _take(args: argparse.Namespace, count: int) -> list[str]:
             f"{args.subcommand} {args.action} takes {count} argument(s), got {len(args.args)}"
         )
     return list(args.args)
+
+
+def _no_upper(args: argparse.Namespace) -> None:
+    # only sn has upper walls and arcs so far; a silent fall back to the lower
+    # ones would be a wrong answer
+    if args.upper:
+        raise ParseError(f"{args.subcommand} {args.action} does not take --upper")
 
 
 def _arc_lines(args: argparse.Namespace, arcs: Iterable, fmt: Callable, n: int | None) -> None:
@@ -140,9 +150,11 @@ def _run_tot(args: argparse.Namespace) -> None:
         low, high = (_parse_tot(w) for w in _take(args, 2))
         _lines(args, _bool_row(tot.leq_tot(low, high)))
     elif args.action == "walls":
+        _no_upper(args)
         t = _parse_tot(_take(args, 1)[0])
         _lines(args, [f"({a},{b})" for a, b in sorted(tot.lower_walls_tot(t))])
     elif args.action in ("arcs", "cjr"):
+        _no_upper(args)
         t = _parse_tot(_take(args, 1)[0])
         arcs = tot.canonical_join_rep_tot(t) if args.action == "cjr" else tot.lower_arcs_tot(t)
         _arc_lines(args, arcs, sn.format_arc, args.n)
@@ -168,6 +180,7 @@ def _run_tito(args: argparse.Namespace) -> None:
         t = ti.parse_windows(_take(args, 1)[0], n)
         _lines(args, [ti.format_windows(t)])
     elif args.action == "walls":
+        _no_upper(args)
         t = ti.parse_windows(_take(args, 1)[0], n)
         walls = sorted(ti.lower_walls_tito(t))
         _lines(args, [ti.format_reflection_index(w) for w in walls])
@@ -178,6 +191,7 @@ def _run_tito(args: argparse.Namespace) -> None:
         flipped = ti.flip_tito(t, ti.reflection_index(a, b, n))
         _lines(args, [ti.format_windows(flipped)])
     elif args.action in ("arcs", "cjr"):
+        _no_upper(args)
         t = ti.parse_windows(_take(args, 1)[0], n)
         if args.action == "cjr":
             arcs = ti.canonical_join_rep_tito(t)
@@ -219,7 +233,10 @@ def _need_window(args: argparse.Namespace) -> tuple[int, int]:
     return args.a, args.b
 
 
-def _lab_poset(args: argparse.Namespace) -> lab.FinitePoset:
+def _lab_poset(args: argparse.Namespace) -> FinitePoset:
+    # the lab (and numpy with it) loads only for the commands that use it
+    from . import lattices as lab
+
     if args.kind == "sn":
         return lab.weak_order_poset(_need_n(args))
     if args.kind == "tot":
@@ -230,6 +247,8 @@ def _lab_poset(args: argparse.Namespace) -> lab.FinitePoset:
 
 
 def _run_lab(args: argparse.Namespace) -> None:
+    from . import lattices as lab
+
     if args.action == "quotient":
         if args.kind == "tito":
             quotient = lab.tito_quotient(_need_n(args), *_need_window(args))

@@ -10,12 +10,14 @@ from the residue circle, which is how a wrapped arc avoids itself.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import PreconditionViolated
-from .lattices import FinitePoset, cover_matrix
 from .sn import Arc, _arc_key, arcs_cross
 from .tito import WrappedArc, _check_span, wrapped_cross
+
+if TYPE_CHECKING:  # the lab loads numpy; drawing arcs needs neither
+    from .lattices import FinitePoset
 
 PITCH = 48.0
 BASELINE = 120.0
@@ -173,7 +175,7 @@ def render_arcs(
 def render_hasse(p: FinitePoset) -> str:
     """Hasse diagram in DOT: cover edges upward, rank = longest chain from
     a minimal element, so equal-depth elements share a row."""
-    cov = cover_matrix(p)
+    cov = p.covers
     size = len(p)
     depth = [0] * size
     order = sorted(range(size), key=lambda i: int(p.leq[i].sum()), reverse=True)

@@ -1,4 +1,4 @@
-"""Weak order on the symmetric group, with arcs, shards, and congruences.
+"""Weak order on the symmetric group, with arcs and congruences.
 
 A permutation of [1..n] is identified with its inversion set, the pairs
 (a, b) with a < b whose order the permutation reverses.  Containment of
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -325,10 +324,11 @@ class Arc:
     right: frozenset[int]
 
     def __post_init__(self) -> None:
-        interior = set(range(self.a + 1, self.b))
         if not self.a < self.b:
             raise ValueError(f"need a < b, got ({self.a}, {self.b})")
-        if self.left & self.right or (self.left | self.right) != interior:
+        both = self.left | self.right  # linear in the sides, not in the span
+        inside = all(self.a < x < self.b for x in both)
+        if not inside or not len(both) == len(self.left) + len(self.right) == self.b - self.a - 1:
             raise ValueError(
                 f"sides must partition ({self.a}, {self.b}): {self.left}, {self.right}"
             )
@@ -434,53 +434,6 @@ def permutation_from_noncrossing(arcs: Iterable[Arc], n: int) -> Permutation:
 def _arc_key(x: Arc) -> tuple:
     # the one order for arcs of both kinds: the ends and the left side fix the right
     return (x.a, x.b, tuple(sorted(x.left)))
-
-
-# ---------------------------------------------------------------------------
-# shards
-
-
-@dataclass(frozen=True)
-class ShardCone:
-    """A shard: a piece of the hyperplane x_a = x_b cut out by strict constraints.
-
-    ``strict`` lists (i, j, sense) with sense "lt" for x_i < x_j and "gt" for
-    x_i > x_j.
-    """
-
-    n: int
-    equality: tuple[int, int]
-    strict: tuple[tuple[int, int, str], ...]
-
-
-def shard_cone(x: Arc, n: int) -> ShardCone:
-    """The shard of the hyperplane x_a = x_b selected by the arc's side sets.
-
-    Interior values in the left set sit below the shared coordinate value,
-    interior values in the right set above.
-    """
-    if not 1 <= x.a < x.b <= n:
-        raise OutOfRange(f"arc {format_arc(x)} does not fit in [1..{n}]")
-    strict = tuple(
-        (m, x.a, "lt" if m in x.left else "gt") for m in range(x.a + 1, x.b)
-    )
-    return ShardCone(n, (x.a, x.b), strict)
-
-
-def shard_contains(cone: ShardCone, point: Sequence) -> bool:
-    """Exact membership test; coordinates may be ints, Fractions, or 'p/q' strings."""
-    if len(point) != cone.n:
-        raise OutOfRange(f"point has {len(point)} coordinates, expected {cone.n}")
-    coords = [Fraction(v) for v in point]
-    a, b = cone.equality
-    if coords[a - 1] != coords[b - 1]:
-        return False
-    for i, j, sense in cone.strict:
-        if sense == "lt" and not coords[i - 1] < coords[j - 1]:
-            return False
-        if sense == "gt" and not coords[i - 1] > coords[j - 1]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

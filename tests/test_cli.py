@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 from weakorder.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -104,6 +111,39 @@ def test_wide_arc_is_refused_without_listing_its_span(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "must split (1,100000000)" in err
+
+
+def test_malformed_arc_is_refused_in_time_linear_in_its_sides(capsys):
+    # empty sides cannot fill the 10^9 - 1 values between the ends
+    start = time.perf_counter()
+    code, out, err = run(capsys, "render", "arcs", "(1,1000000000||)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "bad arc text" in err
+
+
+def test_wide_order_word_is_refused_without_listing_its_window(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tot", "join", "1,1000000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "full integer window" in err
+    assert run(capsys, "tot", "join", "1,1,2")[0] == 2
+
+
+def test_upper_is_refused_where_only_lower_walls_exist(capsys):
+    for argv in (
+        ("tot", "walls", "2,1"),
+        ("tot", "arcs", "2,1"),
+        ("tot", "cjr", "2,1"),
+        ("tito", "walls", "[~2,1]", "--n", "2"),
+        ("tito", "arcs", "[2][~1]", "--n", "2"),
+        ("tito", "cjr", "[~2,1]", "--n", "2"),
+    ):
+        got, out, err = run(capsys, *argv, "--upper")
+        assert (got, out) == (2, "")
+        assert err == f"error: parse error: {argv[0]} {argv[1]} does not take --upper\n"
+    assert run(capsys, "sn", "arcs", "1423", "--upper")[:2] == (0, "(1,4||2 3)\n(2,3||)\n")
 
 
 def test_unknown_action(capsys):
@@ -272,3 +312,45 @@ def test_arc_and_drawing_spans_are_bounded(capsys):
     assert code == 0 and out.count("<circle") == 10001
     err = _one_line_refusal(capsys, 1, "render", "arcs", "(1,2||)", "--n", "10002")
     assert "too large: drawing spans 10001 values (limit 10000)" in err
+
+
+def test_only_lab_commands_load_numpy():
+    # a fresh interpreter, so that no other test has loaded the lab yet
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from weakorder import cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(list(argv))
+            return [code, out.getvalue()]
+
+        heavy = ("numpy", "weakorder.lattices", "fractions")
+        report = {"plain": [
+            run("sn", "join", "213", "132"),
+            run("tot", "join", "2,1", "3,2"),
+            run("tito", "join", "[2,1]", "[~1,2]", "--n", "2"),
+            run("dyer", "join", "[~1][2]", "[1][2]", "--n", "2"),
+            run("render", "arcs", "(1,5|2|3 4)", "(3,4||)"),
+        ]}
+        report["loaded"] = [m for m in heavy if m in sys.modules]
+        report["lab"] = run("lab", "check", "--kind", "tito", "--n", "2", "--a", "1", "--b", "4")
+        report["numpy"] = "numpy" in sys.modules
+        print(json.dumps(report))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    report = json.loads(proc.stdout)
+    assert [code for code, _ in report["plain"]] == [0] * 5
+    assert report["plain"][0][1] == "321\n" and report["plain"][4][1].startswith("<svg")
+    assert report["loaded"] == []
+    assert report["lab"] == [
+        0,
+        "elements: 12\ncovers: 14\nlattice: yes\n"
+        "join-semidistributive: yes\nmeet-semidistributive: yes\n",
+    ]
+    assert report["numpy"]

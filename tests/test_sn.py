@@ -37,8 +37,6 @@ from weakorder.sn import (
     permutation_from_inversions,
     permutation_from_noncrossing,
     reversal_perm,
-    shard_cone,
-    shard_contains,
     subarcs_of,
     swap_values,
     upper_arcs_sn,
@@ -170,14 +168,6 @@ def test_noncrossing_bijection_small():
         assert key not in seen
         seen[key] = p
         assert permutation_from_noncrossing(diagram, 4) == p
-
-
-def test_shard_cones():
-    cone = shard_cone(arc(1, 4, [2], [3]), 4)
-    assert shard_contains(cone, (0, -1, 1, 0))
-    assert not shard_contains(cone, (0, 1, 1, 0))
-    assert not shard_contains(cone, (0, -1, 1, 2))
-    assert shard_contains(cone, ("1/2", "-1/3", "2/3", "1/2"))
 
 
 def test_subarcs():
