@@ -88,10 +88,25 @@ def _take(args: argparse.Namespace, count: int) -> list[str]:
     return list(args.args)
 
 
-def _no_upper(args: argparse.Namespace) -> None:
-    # only sn has upper walls and arcs so far; a silent fall back to the lower
-    # ones would be a wrong answer
-    if args.upper:
+# The forms each action can print besides text; every other action prints
+# text only.  An ignored --format or --upper would print the wrong kind of
+# answer, so both are refused.
+_FORMATS = {
+    **{(sub, act): ("json", "svg") for sub in ("sn", "tot", "tito") for act in ("arcs", "cjr")},
+    ("dyer", "enumerate"): ("json",),
+    ("lab", "quotient"): ("json", "dot"),
+    ("render", "arcs"): ("svg",),
+    ("render", "hasse"): ("dot",),
+}
+# only sn has upper walls and arcs so far
+_LOWER_ONLY = {(sub, act) for sub in ("tot", "tito") for act in ("walls", "arcs", "cjr")}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    action = (args.subcommand, args.action)
+    if args.format != "text" and args.format not in _FORMATS.get(action, ()):
+        raise ParseError(f"{args.subcommand} {args.action} does not take --format {args.format}")
+    if args.upper and action in _LOWER_ONLY:
         raise ParseError(f"{args.subcommand} {args.action} does not take --upper")
 
 
@@ -150,11 +165,9 @@ def _run_tot(args: argparse.Namespace) -> None:
         low, high = (_parse_tot(w) for w in _take(args, 2))
         _lines(args, _bool_row(tot.leq_tot(low, high)))
     elif args.action == "walls":
-        _no_upper(args)
         t = _parse_tot(_take(args, 1)[0])
         _lines(args, [f"({a},{b})" for a, b in sorted(tot.lower_walls_tot(t))])
     elif args.action in ("arcs", "cjr"):
-        _no_upper(args)
         t = _parse_tot(_take(args, 1)[0])
         arcs = tot.canonical_join_rep_tot(t) if args.action == "cjr" else tot.lower_arcs_tot(t)
         _arc_lines(args, arcs, sn.format_arc, args.n)
@@ -180,7 +193,6 @@ def _run_tito(args: argparse.Namespace) -> None:
         t = ti.parse_windows(_take(args, 1)[0], n)
         _lines(args, [ti.format_windows(t)])
     elif args.action == "walls":
-        _no_upper(args)
         t = ti.parse_windows(_take(args, 1)[0], n)
         walls = sorted(ti.lower_walls_tito(t))
         _lines(args, [ti.format_reflection_index(w) for w in walls])
@@ -191,7 +203,6 @@ def _run_tito(args: argparse.Namespace) -> None:
         flipped = ti.flip_tito(t, ti.reflection_index(a, b, n))
         _lines(args, [ti.format_windows(flipped)])
     elif args.action in ("arcs", "cjr"):
-        _no_upper(args)
         t = ti.parse_windows(_take(args, 1)[0], n)
         if args.action == "cjr":
             arcs = ti.canonical_join_rep_tito(t)
@@ -273,7 +284,7 @@ def _run_lab(args: argparse.Namespace) -> None:
         report = lab.check_lattice(poset)
         rows = [
             f"elements: {len(poset)}",
-            f"covers: {int(lab.cover_matrix(poset).sum())}",
+            f"covers: {int(poset.covers.sum())}",
             f"lattice: {'yes' if report.is_lattice else 'no (' + str(report.witness) + ')'}",
         ]
         if report.is_lattice:
@@ -356,6 +367,7 @@ _RUNNERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_intermixed_args(argv)
     try:
+        _check_flags(args)
         _RUNNERS[args.subcommand](args)
     except (ParseError, InvalidWindows) as exc:
         print(f"error: {_error_phrase(exc)}: {exc}", file=sys.stderr)

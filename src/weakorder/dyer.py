@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import MixedSizes, OutOfRange, ParseError, TooLarge
+from .errors import MixedSizes, OutOfRange, TooLarge
 from .sn import _common_n
 from .tito import (
     Tito,
@@ -36,7 +36,6 @@ from .tito import (
     meet_tito,
     normalize_tito,
     parse_windows,
-    standard_tito,
     format_windows,
     WANING,
     WAXING,
@@ -113,15 +112,6 @@ def rootset_to_json(x: RootSetFin) -> str:
     return json.dumps(sorted([a, b] for a, b in x.roots))
 
 
-def rootset_from_json(text: str, n: int) -> RootSetFin:
-    try:
-        raw = json.loads(text)
-        roots = [(int(a), int(b)) for a, b in raw]
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad root-set JSON: {text!r}") from exc
-    return root_set_fin(n, roots)
-
-
 # ---------------------------------------------------------------------------
 # affine type A through representatives
 
@@ -165,16 +155,12 @@ def parse_dyer_element(text: str, n: int) -> DyerElement:
     return dyer_normal_form(parse_windows(body, n))
 
 
-def bottom_dyer(n: int) -> DyerElement:
-    return dyer_normal_form(standard_tito(n))
-
-
 def dyer_leq(x: DyerElement, y: DyerElement) -> bool:
     """Containment of real inversions only; the diagonal is ignored.
 
     >>> from weakorder.tito import parse_windows
     >>> a = dyer_normal_form(parse_windows("[~1][2]", 2))
-    >>> dyer_leq(bottom_dyer(2), a)
+    >>> dyer_leq(dyer_normal_form(parse_windows("[1,2]", 2)), a)
     True
     """
     size = _common_n([x, y], None)

@@ -28,10 +28,6 @@ class Crossing(WeakorderError):
     """A collection of arcs that must be pairwise non-crossing is not."""
 
 
-class NotIdeal(WeakorderError):
-    """An arc set is not closed under passing to subarcs."""
-
-
 class NotAWall(WeakorderError):
     """A reflection index is not a wall of the given order."""
 

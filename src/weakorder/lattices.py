@@ -12,9 +12,9 @@ their words.  The join and meet tables come from one routine,
 ``_least_bounds``, run on the order matrix and on its transpose; each
 FinitePoset caches them, so the lattice check, semidistributivity, canonical
 join representations and congruences build each table once per poset.  The
-cover matrix is cached the same way: the irreducibles, the semidistributivity
-checks, the JSON and DOT output and the CLI's cover count share one boolean
-square per poset.
+cover matrix comes from the one boolean square that also checks
+transitivity, so the irreducibles, the semidistributivity checks, the JSON
+and DOT output and the CLI's cover count cost no further product.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     NotACongruence,
     NotALattice,
-    ParseError,
     PreconditionViolated,
     TooLarge,
 )
@@ -48,11 +47,14 @@ MAX_POSET = 10_000
 class FinitePoset:
     """A finite poset: labels plus a reflexive/antisymmetric/transitive matrix.
 
-    ``leq[i, j]`` holds when ``elements[i] <= elements[j]``.
+    ``leq[i, j]`` holds when ``elements[i] <= elements[j]``, and
+    ``covers[i, j]`` when ``elements[j]`` covers ``elements[i]``; both are
+    read-only.
     """
 
     elements: tuple[str, ...]
     leq: np.ndarray
+    covers: np.ndarray
 
     @cached_property
     def joins(self) -> tuple[np.ndarray | None, str | None]:
@@ -63,14 +65,6 @@ class FinitePoset:
     def meets(self) -> tuple[np.ndarray | None, str | None]:
         """The meet table: least bounds of the reversed order."""
         return _least_bounds(self, self.leq.T, "lower", "greatest")
-
-    @cached_property
-    def covers(self) -> np.ndarray:
-        """covers[i, j] holds when elements[j] covers elements[i]; read-only."""
-        strict = self.leq & ~np.eye(len(self), dtype=bool)
-        cov = strict & ~_bool_square(strict)
-        cov.setflags(write=False)
-        return cov
 
     def index(self, label: str) -> int:
         try:
@@ -96,35 +90,20 @@ def finite_poset(elements: Sequence[str], leq: np.ndarray) -> FinitePoset:
         raise ValueError(f"matrix shape {m.shape} does not match {n} elements")
     if not m.diagonal().all():
         raise ValueError("order is not reflexive")
-    if (m & m.T & ~np.eye(n, dtype=bool)).any():
+    strict = m & ~np.eye(n, dtype=bool)
+    if (strict & strict.T).any():
         raise ValueError("order is not antisymmetric")
-    if (_bool_square(m) & ~m).any():
+    # With antisymmetry, m is transitive exactly when two strict steps land
+    # in strict; the same square leaves the covers, the strict pairs that no
+    # two steps reach.
+    two_steps = _bool_square(strict)
+    if (two_steps & ~strict).any():
         raise ValueError("order is not transitive")
+    covers = strict & ~two_steps
     m = m.copy()
-    m.setflags(write=False)
-    return FinitePoset(labels, m)
-
-
-def poset_from_pairs(
-    elements: Sequence[str], pairs: Iterable[tuple[str, str]]
-) -> FinitePoset:
-    """Poset generated by relations x <= y; closed reflexively and transitively."""
-    labels = tuple(elements)
-    idx = {v: i for i, v in enumerate(labels)}
-    n = len(labels)
-    m = np.eye(n, dtype=bool)
-    for x, y in pairs:
-        m[idx[x], idx[y]] = True
-    while True:
-        closure = m | _bool_square(m)
-        if (closure == m).all():
-            return finite_poset(labels, m)
-        m = closure
-
-
-def cover_matrix(p: FinitePoset) -> np.ndarray:
-    """cover[i, j] holds when elements[j] covers elements[i] (p.covers)."""
-    return p.covers
+    for table in (m, covers):
+        table.setflags(write=False)
+    return FinitePoset(labels, m, covers)
 
 
 def _bool_square(m: np.ndarray) -> np.ndarray:
@@ -135,21 +114,10 @@ def _bool_square(m: np.ndarray) -> np.ndarray:
 
 
 def poset_to_json(p: FinitePoset) -> str:
-    cov = cover_matrix(p)
     covers = sorted(
-        [p.elements[i], p.elements[j]] for i, j in zip(*np.nonzero(cov))
+        [p.elements[i], p.elements[j]] for i, j in zip(*np.nonzero(p.covers))
     )
     return json.dumps({"elements": list(p.elements), "covers": covers}, indent=1)
-
-
-def poset_from_json(text: str) -> FinitePoset:
-    try:
-        raw = json.loads(text)
-        elements = [str(v) for v in raw["elements"]]
-        covers = [(str(a), str(b)) for a, b in raw["covers"]]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ParseError(f"bad poset JSON: {exc}") from exc
-    return poset_from_pairs(elements, covers)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +126,10 @@ def poset_from_json(text: str) -> FinitePoset:
 
 @dataclass(frozen=True, eq=False)
 class LatticeReport:
-    """Outcome of check_lattice: tables when it is one, a witness when not."""
+    """Outcome of check_lattice: a witness when the poset is not a lattice;
+    the tables are the poset's cached ``joins`` and ``meets``."""
 
     is_lattice: bool
-    join: np.ndarray | None
-    meet: np.ndarray | None
     witness: str | None
 
 
@@ -200,19 +167,15 @@ def check_lattice(p: FinitePoset) -> LatticeReport:
     """Verify every pair has a least upper and greatest lower bound."""
     if len(p) > MAX_POSET:
         raise TooLarge(f"{len(p)} elements (limit {MAX_POSET})")
-    join, witness = p.joins
-    if witness is None:
-        meet, witness = p.meets
-    if witness is not None:
-        return LatticeReport(False, None, None, witness)
-    return LatticeReport(True, join, meet, None)
+    witness = p.joins[1] or p.meets[1]
+    return LatticeReport(witness is None, witness)
 
 
 def _tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     report = check_lattice(p)
-    if report.join is None or report.meet is None:
-        raise NotALattice(report.witness or "not a lattice")
-    return report.join, report.meet
+    if not report.is_lattice:
+        raise NotALattice(report.witness)
+    return p.joins[0], p.meets[0]
 
 
 def join_irreducibles_fin(p: FinitePoset) -> frozenset[str]:
@@ -279,10 +242,6 @@ def is_meet_semidistributive_fin(p: FinitePoset) -> bool:
     return _kappa_exists(p.leq, meet, p.covers)
 
 
-def is_semidistributive_fin(p: FinitePoset) -> bool:
-    return is_join_semidistributive_fin(p) and is_meet_semidistributive_fin(p)
-
-
 # ---------------------------------------------------------------------------
 # congruences
 
@@ -298,20 +257,6 @@ class Partition:
         for label, cid in self.class_of.items():
             by_id.setdefault(cid, set()).add(label)
         return frozenset(frozenset(block) for block in by_id.values())
-
-
-def partition_from_blocks(blocks: Iterable[Iterable[str]]) -> Partition:
-    class_of: dict[str, int] = {}
-    for cid, block in enumerate(blocks):
-        for label in block:
-            if label in class_of:
-                raise ValueError(f"label {label!r} appears in two blocks")
-            class_of[label] = cid
-    return Partition(class_of)
-
-
-def discrete_partition(p: FinitePoset) -> Partition:
-    return Partition({label: i for i, label in enumerate(p.elements)})
 
 
 def _class_ids(p: FinitePoset, part: Partition) -> np.ndarray:
@@ -358,10 +303,6 @@ def congruence_failure(p: FinitePoset, part: Partition) -> str | None:
     return _class_bottoms(p, part)[1]
 
 
-def is_congruence(p: FinitePoset, part: Partition) -> bool:
-    return congruence_failure(p, part) is None
-
-
 def quotient_lattice(p: FinitePoset, part: Partition) -> FinitePoset:
     """The quotient lattice; classes are labeled by their bottom elements."""
     down, failure = _class_bottoms(p, part)
@@ -377,8 +318,8 @@ def congruence_generated_by(
     """Smallest lattice congruence identifying each given pair.
 
     Closes under transitivity and under joining/meeting both sides with every
-    element; this is the brute-force oracle the arc-ideal machinery is tested
-    against.
+    element; this is the brute-force oracle that the arc ideals in the tests'
+    ``gen.py`` are checked against.
     """
     join, meet = _tables(p)
     n = len(p)

@@ -1,4 +1,4 @@
-"""Weak order on the symmetric group, with arcs and congruences.
+"""Weak order on the symmetric group, with arcs.
 
 A permutation of [1..n] is identified with its inversion set, the pairs
 (a, b) with a < b whose order the permutation reverses.  Containment of
@@ -29,7 +29,6 @@ and certifies the round trip, ``interior`` gives a meet's pair set, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
@@ -40,7 +39,6 @@ from .errors import (
     Crossing,
     MixedSizes,
     NotBiclosed,
-    NotIdeal,
     OutOfRange,
     ParseError,
 )
@@ -66,14 +64,6 @@ class Permutation:
 def perm_of(values: Iterable[int]) -> Permutation:
     word = tuple(values)
     return Permutation(len(word), word)
-
-
-def identity_perm(n: int) -> Permutation:
-    return Permutation(n, tuple(range(1, n + 1)))
-
-
-def reversal_perm(n: int) -> Permutation:
-    return Permutation(n, tuple(range(n, 0, -1)))
 
 
 def swap_values(p: Permutation, a: int, b: int) -> Permutation:
@@ -127,25 +117,8 @@ class PairSet:
                 raise ValueError(f"pair {(a, b)} outside [1..{self.n}]")
 
 
-def pairset(n: int, pairs: Iterable[tuple[int, int]] = ()) -> PairSet:
-    return PairSet(n, frozenset(tuple(p) for p in pairs))
-
-
 def all_pairs(n: int) -> frozenset[tuple[int, int]]:
     return frozenset(combinations(range(1, n + 1), 2))
-
-
-def pairs_to_json(ps: PairSet) -> str:
-    return json.dumps(sorted([a, b] for a, b in ps.pairs))
-
-
-def pairs_from_json(text: str, n: int) -> PairSet:
-    try:
-        raw = json.loads(text)
-        pairs = [(int(a), int(b)) for a, b in raw]
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad pair-set JSON: {text!r}") from exc
-    return pairset(n, pairs)
 
 
 def word_inversions(word: Sequence[int]) -> frozenset[tuple[int, int]]:
@@ -434,88 +407,3 @@ def permutation_from_noncrossing(arcs: Iterable[Arc], n: int) -> Permutation:
 def _arc_key(x: Arc) -> tuple:
     # the one order for arcs of both kinds: the ends and the left side fix the right
     return (x.a, x.b, tuple(sorted(x.left)))
-
-
-# ---------------------------------------------------------------------------
-# subarcs and congruences
-
-
-def is_subarc(x: Arc, y: Arc) -> bool:
-    """True when ``x`` is the restriction of ``y`` to the span [x.a, x.b].
-
-    Since side sets partition the interior, asking for x.left <= y.left and
-    x.right <= y.right pins x to the exact restriction of y.
-    """
-    return y.a <= x.a < x.b <= y.b and x.left <= y.left and x.right <= y.right
-
-
-def all_arcs(n: int) -> frozenset[Arc]:
-    """Every arc on [1..n]; these index the join-irreducibles."""
-    out = []
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            interior = list(range(a + 1, b))
-            for bits in range(1 << len(interior)):
-                left = frozenset(
-                    m for k, m in enumerate(interior) if bits >> k & 1
-                )
-                out.append(Arc(a, b, left, frozenset(interior) - left))
-    return frozenset(out)
-
-
-def subarcs_of(x: Arc) -> frozenset[Arc]:
-    """All restrictions of ``x`` to subspans (including ``x`` itself)."""
-    out = []
-    for a2 in range(x.a, x.b):
-        for b2 in range(a2 + 1, x.b + 1):
-            left = frozenset(m for m in x.left if a2 < m < b2)
-            right = frozenset(m for m in x.right if a2 < m < b2)
-            out.append(Arc(a2, b2, left, right))
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class ArcIdeal:
-    """A subarc-closed set of arcs: the uncontracted arcs of a congruence."""
-
-    n: int
-    arcs: frozenset[Arc]
-
-    def __post_init__(self) -> None:
-        for x in self.arcs:
-            if not 1 <= x.a < x.b <= self.n:
-                raise ValueError(f"arc {format_arc(x)} does not fit in [1..{self.n}]")
-
-
-def is_subarc_closed(ideal: ArcIdeal) -> bool:
-    return all(subarcs_of(x) <= ideal.arcs for x in ideal.arcs)
-
-
-def arc_ideal(n: int, arcs: Iterable[Arc]) -> ArcIdeal:
-    """Build an ArcIdeal, checking subarc-closure."""
-    ideal = ArcIdeal(n, frozenset(arcs))
-    if not is_subarc_closed(ideal):
-        raise NotIdeal("arc set is not closed under subarcs")
-    return ideal
-
-
-def congruence_pi_down(ideal: ArcIdeal, p: Permutation) -> Permutation:
-    """Bottom of the congruence class of p, for the congruence keeping ``ideal``.
-
-    Walks down: as long as some lower wall carries a contracted arc, removing
-    that wall stays in the class.  The result has all its lower arcs
-    uncontracted, which characterizes the class minimum.
-    """
-    if p.n != ideal.n:
-        raise MixedSizes(f"mixed sizes {p.n} and {ideal.n}")
-    if not is_subarc_closed(ideal):
-        raise NotIdeal("arc set is not closed under subarcs")
-    current = p
-    while True:
-        contracted = sorted(
-            (x for x in lower_arcs_sn(current) if x not in ideal.arcs), key=_arc_key
-        )
-        if not contracted:
-            return current
-        x = contracted[0]
-        current = swap_values(current, x.a, x.b)

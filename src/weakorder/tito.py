@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .crossing import side_mask, tuples_cross
@@ -102,16 +102,6 @@ def is_imaginary_index(ri: ReflectionIndex, n: int) -> bool:
 
 def format_reflection_index(ri: ReflectionIndex) -> str:
     return f"<{ri.a},{ri.b}>"
-
-
-def parse_reflection_index(text: str, n: int) -> ReflectionIndex:
-    m = re.fullmatch(r"\s*<\s*(-?\d+)\s*,\s*(-?\d+)\s*>\s*", text)
-    if not m:
-        raise ParseError(f"expected '<a,b>', got {text!r}")
-    a, b = int(m.group(1)), int(m.group(2))
-    if a >= b:
-        raise ParseError(f"need a < b in {text!r}")
-    return reflection_index(a, b, n)
 
 
 @dataclass(frozen=True)
@@ -323,58 +313,6 @@ def standard_tito(n: int) -> Tito:
     return Tito(n, (Block(WAXING, tuple(range(1, n + 1))),))
 
 
-def reversal_tito(n: int) -> Tito:
-    """The reversed order of the integers: one waning block [~n,...,1]."""
-    return Tito(n, (Block(WANING, tuple(range(n, 0, -1))),))
-
-
-def all_titos(n: int, lo: int, hi: int) -> list[Tito]:
-    """Every canonical-form order whose window entries all lie in [lo, hi]."""
-    per_residue = {
-        r: [v for v in range(lo, hi + 1) if residue(v, n) == r]
-        for r in range(1, n + 1)
-    }
-    out: list[Tito] = []
-    for parts in _ordered_set_partitions(tuple(range(1, n + 1))):
-        window_choices = []
-        for part in parts:
-            k = len(part)
-            smin = k * (k + 1) // 2
-            choices = []
-            for order in permutations(part):
-                for values in product(*(per_residue[r] for r in order)):
-                    if smin <= sum(values) <= smin + n - 1:
-                        choices.append(tuple(values))
-            window_choices.append(choices)
-        for windows in product(*window_choices):
-            for dirs in product((WAXING, WANING), repeat=len(parts)):
-                out.append(
-                    Tito(
-                        n,
-                        tuple(
-                            Block(d, w) for d, w in zip(dirs, windows)
-                        ),
-                    )
-                )
-    return out
-
-
-def _ordered_set_partitions(
-    items: tuple[int, ...],
-) -> Iterable[tuple[tuple[int, ...], ...]]:
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for mask in range(2 ** len(rest)):
-        head = (first,) + tuple(r for i, r in enumerate(rest) if mask >> i & 1)
-        tail = tuple(r for i, r in enumerate(rest) if not mask >> i & 1)
-        for more in _ordered_set_partitions(tail):
-            yield (head,) + more
-            for k in range(len(more)):
-                yield more[: k + 1] + (head,) + more[k + 1 :]
-
-
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -396,11 +334,6 @@ def lt_tito(t: Tito, a: int, b: int) -> bool:
     True
     """
     return _locate(t, a) < _locate(t, b)
-
-
-def inversion_contains(t: Tito, ri: ReflectionIndex) -> bool:
-    """True when <a,b> is an inversion of t, i.e. b comes before a."""
-    return lt_tito(t, ri.b, ri.a)
 
 
 def inversion_indices_upto(t: Tito, bound: int) -> frozenset[ReflectionIndex]:
@@ -771,7 +704,7 @@ def join_of_cyclic_collection(arcs: Iterable[WrappedArc], n: int) -> Tito:
     """
     items = sorted(arcs, key=_arc_key)
     for w in items:
-        if wrapped_cross(w, w, n):
+        if not is_wrapped_arc(w, n):
             raise Crossing(f"{format_wrapped_arc(w)} crosses its own translates")
     for w1, w2 in combinations(items, 2):
         if wrapped_cross(w1, w2, n):

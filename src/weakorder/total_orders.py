@@ -15,8 +15,8 @@ walls and arcs are read off each run's order word, so the work grows with
 the pairs and not with the distance between them.
 
 >>> t = finite_total_order([(0, 1)])
->>> lt_total(t, 1, 0)
-True
+>>> order_word(t, -1, 2)
+(-1, 1, 0, 2)
 >>> format_tot(join_tot([t, finite_total_order([(1, 2)])]))
 '2,1,0'
 """
@@ -101,15 +101,6 @@ def _run_words(t: FiniteTotalOrder) -> list[tuple[int, ...]]:
 
 def standard_order() -> FiniteTotalOrder:
     return FiniteTotalOrder(frozenset())
-
-
-def lt_total(t: FiniteTotalOrder, a: int, b: int) -> bool:
-    """a comes strictly before b."""
-    if a == b:
-        return False
-    if a < b:
-        return (a, b) not in t.invs
-    return (b, a) in t.invs
 
 
 def support_window(t: FiniteTotalOrder) -> tuple[int, int] | None:

@@ -5,25 +5,38 @@ join must be reachable by an increasing chain of inversions of the inputs
 (the chain rule applied inside the span), and conversely.  The meet oracle
 is its dual through complements.  The lattice laws are checked the same way
 for every kind of order, on hypothesis-drawn triples.
+
+Two reference implementations live here because only the tests use them:
+Reading's arc-ideal description of the congruences of the weak order on
+S_n (``arc_ideal``, ``congruence_pi_down``), checked against the lab's
+brute-force congruence closure, and ``all_titos``, every periodic order
+whose windows lie in a range of integers.  ``poset_from_pairs`` builds the
+small posets the lab tests start from.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, permutations, product
+from typing import Iterable, Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
+from weakorder.errors import MixedSizes, WeakorderError
+from weakorder.lattices import FinitePoset, _bool_square, finite_poset
+from weakorder.sn import Arc, Permutation, _arc_key, format_arc, lower_arcs_sn, swap_values
 from weakorder.tito import (
     WAXING,
     WANING,
     Block,
     Tito,
     WrappedArc,
-    inversion_contains,
     is_wrapped_arc,
+    lt_tito,
     normalize_tito,
-    reflection_index,
+    residue,
     wrapped_cross,
 )
 
@@ -90,7 +103,7 @@ def _table(cache: dict, t: Tito, span: int) -> list[list[bool]]:
     key = (t, span)
     if key not in cache:
         cache[key] = [[]] + [
-            [False] + [inversion_contains(t, reflection_index(r, r + d, t.n)) for d in range(1, span + 1)]
+            [False] + [lt_tito(t, r + d, r) for d in range(1, span + 1)]
             for r in range(1, t.n + 1)
         ]
     return cache[key]
@@ -217,3 +230,164 @@ def all_label_partitions(values: list[int]) -> list[tuple[frozenset[int], frozen
             lset = frozenset(left)
             out.append((lset, frozenset(values) - lset))
     return out
+
+
+# ---------------------------------------------------------------------------
+# congruences of the weak order on S_n as subarc-closed sets of arcs
+
+
+class NotIdeal(WeakorderError):
+    """An arc set is not closed under passing to subarcs."""
+
+
+def is_subarc(x: Arc, y: Arc) -> bool:
+    """True when ``x`` is the restriction of ``y`` to the span [x.a, x.b].
+
+    Since side sets partition the interior, asking for x.left <= y.left and
+    x.right <= y.right pins x to the exact restriction of y.
+    """
+    return y.a <= x.a < x.b <= y.b and x.left <= y.left and x.right <= y.right
+
+
+def all_arcs(n: int) -> frozenset[Arc]:
+    """Every arc on [1..n]; these index the join-irreducibles."""
+    out = []
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            interior = list(range(a + 1, b))
+            for bits in range(1 << len(interior)):
+                left = frozenset(
+                    m for k, m in enumerate(interior) if bits >> k & 1
+                )
+                out.append(Arc(a, b, left, frozenset(interior) - left))
+    return frozenset(out)
+
+
+def subarcs_of(x: Arc) -> frozenset[Arc]:
+    """All restrictions of ``x`` to subspans (including ``x`` itself)."""
+    out = []
+    for a2 in range(x.a, x.b):
+        for b2 in range(a2 + 1, x.b + 1):
+            left = frozenset(m for m in x.left if a2 < m < b2)
+            right = frozenset(m for m in x.right if a2 < m < b2)
+            out.append(Arc(a2, b2, left, right))
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class ArcIdeal:
+    """A subarc-closed set of arcs: the uncontracted arcs of a congruence."""
+
+    n: int
+    arcs: frozenset[Arc]
+
+    def __post_init__(self) -> None:
+        for x in self.arcs:
+            if not 1 <= x.a < x.b <= self.n:
+                raise ValueError(f"arc {format_arc(x)} does not fit in [1..{self.n}]")
+
+
+def is_subarc_closed(ideal: ArcIdeal) -> bool:
+    return all(subarcs_of(x) <= ideal.arcs for x in ideal.arcs)
+
+
+def arc_ideal(n: int, arcs: Iterable[Arc]) -> ArcIdeal:
+    """Build an ArcIdeal, checking subarc-closure."""
+    ideal = ArcIdeal(n, frozenset(arcs))
+    if not is_subarc_closed(ideal):
+        raise NotIdeal("arc set is not closed under subarcs")
+    return ideal
+
+
+def congruence_pi_down(ideal: ArcIdeal, p: Permutation) -> Permutation:
+    """Bottom of the congruence class of p, for the congruence keeping ``ideal``.
+
+    Walks down: as long as some lower wall carries a contracted arc, removing
+    that wall stays in the class.  The result has all its lower arcs
+    uncontracted, which characterizes the class minimum.
+    """
+    if p.n != ideal.n:
+        raise MixedSizes(f"mixed sizes {p.n} and {ideal.n}")
+    if not is_subarc_closed(ideal):
+        raise NotIdeal("arc set is not closed under subarcs")
+    current = p
+    while True:
+        contracted = sorted(
+            (x for x in lower_arcs_sn(current) if x not in ideal.arcs), key=_arc_key
+        )
+        if not contracted:
+            return current
+        x = contracted[0]
+        current = swap_values(current, x.a, x.b)
+
+
+# ---------------------------------------------------------------------------
+# every periodic order with windows in a range
+
+
+def all_titos(n: int, lo: int, hi: int) -> list[Tito]:
+    """Every canonical-form order whose window entries all lie in [lo, hi]."""
+    per_residue = {
+        r: [v for v in range(lo, hi + 1) if residue(v, n) == r]
+        for r in range(1, n + 1)
+    }
+    out: list[Tito] = []
+    for parts in _ordered_set_partitions(tuple(range(1, n + 1))):
+        window_choices = []
+        for part in parts:
+            k = len(part)
+            smin = k * (k + 1) // 2
+            choices = []
+            for order in permutations(part):
+                for values in product(*(per_residue[r] for r in order)):
+                    if smin <= sum(values) <= smin + n - 1:
+                        choices.append(tuple(values))
+            window_choices.append(choices)
+        for windows in product(*window_choices):
+            for dirs in product((WAXING, WANING), repeat=len(parts)):
+                out.append(
+                    Tito(
+                        n,
+                        tuple(
+                            Block(d, w) for d, w in zip(dirs, windows)
+                        ),
+                    )
+                )
+    return out
+
+
+def _ordered_set_partitions(
+    items: tuple[int, ...],
+) -> Iterable[tuple[tuple[int, ...], ...]]:
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for mask in range(2 ** len(rest)):
+        head = (first,) + tuple(r for i, r in enumerate(rest) if mask >> i & 1)
+        tail = tuple(r for i, r in enumerate(rest) if not mask >> i & 1)
+        for more in _ordered_set_partitions(tail):
+            yield (head,) + more
+            for k in range(len(more)):
+                yield more[: k + 1] + (head,) + more[k + 1 :]
+
+
+# ---------------------------------------------------------------------------
+# finite posets
+
+
+def poset_from_pairs(
+    elements: Sequence[str], pairs: Iterable[tuple[str, str]]
+) -> FinitePoset:
+    """Poset generated by relations x <= y; closed reflexively and transitively."""
+    labels = tuple(elements)
+    idx = {v: i for i, v in enumerate(labels)}
+    n = len(labels)
+    m = np.eye(n, dtype=bool)
+    for x, y in pairs:
+        m[idx[x], idx[y]] = True
+    while True:
+        closure = m | _bool_square(m)
+        if (closure == m).all():
+            return finite_poset(labels, m)
+        m = closure

@@ -146,6 +146,20 @@ def test_upper_is_refused_where_only_lower_walls_exist(capsys):
     assert run(capsys, "sn", "arcs", "1423", "--upper")[:2] == (0, "(1,4||2 3)\n(2,3||)\n")
 
 
+def test_format_is_refused_where_the_action_cannot_print_it(capsys):
+    for argv in (
+        ("sn", "join", "213", "132", "--format", "svg"),
+        ("lab", "check", "--kind", "sn", "--n", "3", "--format", "dot"),
+        ("render", "arcs", "(1,2||)", "--format", "json"),
+    ):
+        err = _one_line_refusal(capsys, 2, *argv)
+        assert err == f"error: parse error: {argv[0]} {argv[1]} does not take --format {argv[-1]}\n"
+    # a drawing's own format is the same as the default
+    for argv, form in ((("render", "arcs", "(1,2||)"), "svg"), (("render", "hasse", "--n", "2"), "dot")):
+        default = run(capsys, *argv)
+        assert default[0] == 0 and run(capsys, *argv, "--format", form) == default
+
+
 def test_unknown_action(capsys):
     code, _, err = run(capsys, "sn", "frobnicate")
     assert code == 2

@@ -1,33 +1,28 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
+from gen import all_titos, arc_ideal, congruence_pi_down, poset_from_pairs
 from weakorder import lattices
 
 from weakorder.errors import (
     NotACongruence,
     NotALattice,
-    ParseError,
     PreconditionViolated,
     TooLarge,
 )
 from weakorder.lattices import (
+    Partition,
     canonical_join_rep_fin,
     check_lattice,
     congruence_failure,
     congruence_generated_by,
-    cover_matrix,
-    discrete_partition,
     finite_poset,
-    is_congruence,
     is_join_semidistributive_fin,
     is_meet_semidistributive_fin,
-    is_semidistributive_fin,
     join_irreducibles_fin,
-    partition_from_blocks,
-    poset_from_json,
-    poset_from_pairs,
     poset_to_json,
     quotient_lattice,
     tito_quotient,
@@ -36,8 +31,8 @@ from weakorder.lattices import (
     weak_order_poset,
 )
 from weakorder.render import render_hasse
-from weakorder.sn import arc, arc_ideal, congruence_pi_down, format_perm, parse_perm
-from weakorder.tito import all_titos, format_windows, is_widely_generated_tito, leq_tito
+from weakorder.sn import arc, format_perm, parse_perm
+from weakorder.tito import format_windows, is_widely_generated_tito, leq_tito
 
 
 def _diamond():
@@ -64,16 +59,15 @@ def test_boolean_products_are_exact_past_256():
     # a chain of 258 elements: products counted in a byte would wrap at 256
     labels = [str(k) for k in range(258)]
     full = np.triu(np.ones((258, 258), dtype=bool))
-    assert int(cover_matrix(finite_poset(labels, full)).sum()) == 257
+    assert int(finite_poset(labels, full).covers.sum()) == 257
     generated = poset_from_pairs(labels, zip(labels, labels[1:]))
     assert np.array_equal(generated.leq, full)
 
 
 def test_covers_of_diamond():
     p = _diamond()
-    cov = cover_matrix(p)
     edges = {
-        (p.elements[i], p.elements[j]) for i, j in zip(*np.nonzero(cov))
+        (p.elements[i], p.elements[j]) for i, j in zip(*np.nonzero(p.covers))
     }
     assert edges == {("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")}
 
@@ -82,13 +76,14 @@ def test_check_lattice():
     assert check_lattice(weak_order_poset(3)).is_lattice
     # the tables against a scan of all common bounds of each pair
     wo4 = weak_order_poset(4)
-    report, leq = check_lattice(wo4), wo4.leq
+    assert check_lattice(wo4).is_lattice
+    (join, _), (meet, _), leq = wo4.joins, wo4.meets, wo4.leq
     for i in range(len(wo4)):
         for j in range(len(wo4)):
             ub = [k for k in range(len(wo4)) if leq[i, k] and leq[j, k]]
             lb = [k for k in range(len(wo4)) if leq[k, i] and leq[k, j]]
-            assert [k for k in ub if all(leq[k, u] for u in ub)] == [report.join[i, j]]
-            assert [k for k in lb if all(leq[u, k] for u in lb)] == [report.meet[i, j]]
+            assert [k for k in ub if all(leq[k, u] for u in ub)] == [join[i, j]]
+            assert [k for k in lb if all(leq[u, k] for u in lb)] == [meet[i, j]]
     bowtie = poset_from_pairs(
         ["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     )
@@ -108,8 +103,7 @@ def test_bound_tables_are_built_once_per_poset(monkeypatch):
         return original(p, leq, bound, least)
 
     monkeypatch.setattr(lattices, "_least_bounds", counting)
-    wo4 = weak_order_poset(4)
-    # after the poset is built, every boolean square is a cover-matrix build
+    # one boolean square checks transitivity and yields the covers
     squares = []
     square = lattices._bool_square
 
@@ -118,17 +112,17 @@ def test_bound_tables_are_built_once_per_poset(monkeypatch):
         return square(m)
 
     monkeypatch.setattr(lattices, "_bool_square", counting_square)
+    wo4 = weak_order_poset(4)
     assert check_lattice(wo4).is_lattice
     assert is_join_semidistributive_fin(wo4) and is_meet_semidistributive_fin(wo4)
     assert join_irreducibles_fin(wo4) and canonical_join_rep_fin(wo4, "4321")
     assert congruence_generated_by(wo4, [("1234", "2134")])
     assert poset_to_json(wo4) and render_hasse(wo4)
-    assert int(cover_matrix(wo4).sum()) == 36
+    assert int(wo4.covers.sum()) == 36
     assert sorted(built) == ["lower", "upper"]
-    assert len(squares) == 1
+    assert squares == [(24, 24)]
     # the cached tables are shared, so no caller may write to them
-    report = check_lattice(wo4)
-    for table in (report.join, report.meet, cover_matrix(wo4)):
+    for table in (wo4.joins[0], wo4.meets[0], wo4.leq, wo4.covers):
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
@@ -149,8 +143,9 @@ def test_canonical_join_rep_fin():
 
 
 def test_semidistributivity():
-    assert is_semidistributive_fin(weak_order_poset(3))
-    assert is_semidistributive_fin(weak_order_poset(4))
+    for n in (3, 4):
+        wo = weak_order_poset(n)
+        assert is_join_semidistributive_fin(wo) and is_meet_semidistributive_fin(wo)
     diamond = _diamond()
     assert not is_join_semidistributive_fin(diamond)
     assert not is_meet_semidistributive_fin(diamond)
@@ -214,22 +209,26 @@ def test_semidistributivity_against_triples():
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def _discrete(p):
+    return Partition({label: i for i, label in enumerate(p.elements)})
+
+
+# 231, 321 and 312 in one class, the other three alone: not an interval
+_NOT_AN_INTERVAL = Partition({"123": 0, "213": 1, "132": 2, "231": 3, "321": 3, "312": 3})
+
+
 def test_congruence_checks():
     wo3 = weak_order_poset(3)
-    assert is_congruence(wo3, discrete_partition(wo3))
-    assert is_congruence(wo3, partition_from_blocks([wo3.elements]))
-    bad = partition_from_blocks([["123"], ["213"], ["132"], ["231", "321", "312"]])
-    assert congruence_failure(wo3, bad) is not None
-    assert "interval" in congruence_failure(wo3, bad)
-    with pytest.raises(ValueError, match="appears in two blocks"):
-        partition_from_blocks([["123"], ["123"]])
+    assert congruence_failure(wo3, _discrete(wo3)) is None
+    assert congruence_failure(wo3, Partition(dict.fromkeys(wo3.elements, 0))) is None
+    assert "interval" in congruence_failure(wo3, _NOT_AN_INTERVAL)
     with pytest.raises(ValueError, match="cover"):
-        is_congruence(wo3, partition_from_blocks([["123"]]))
+        congruence_failure(wo3, Partition({"123": 0}))
 
 
 def test_congruence_generated_by():
     wo3 = weak_order_poset(3)
-    assert congruence_generated_by(wo3, []).blocks() == discrete_partition(wo3).blocks()
+    assert congruence_generated_by(wo3, []).blocks() == _discrete(wo3).blocks()
     everything = congruence_generated_by(wo3, [("123", "321")])
     assert everything.blocks() == {frozenset(wo3.elements)}
     part = congruence_generated_by(wo3, [("123", "213")])
@@ -240,9 +239,7 @@ def test_congruence_generated_by():
     q = quotient_lattice(wo3, part)
     assert q.elements == ("123", "132")
     with pytest.raises(NotACongruence):
-        quotient_lattice(wo3, partition_from_blocks(
-            [["123"], ["213"], ["132"], ["231", "321", "312"]]
-        ))
+        quotient_lattice(wo3, _NOT_AN_INTERVAL)
 
 
 def test_congruence_agrees_with_arc_ideals():
@@ -323,9 +320,9 @@ def test_tito_quotient_order_matches_pool():
 def test_tito_quotient_sizes_and_structure():
     q = tito_quotient(2, 1, 4)
     assert len(q.poset) == 12
-    assert int(cover_matrix(q.poset).sum()) == 14
+    assert int(q.poset.covers.sum()) == 14
     assert check_lattice(q.poset).is_lattice
-    assert is_semidistributive_fin(q.poset)
+    assert is_join_semidistributive_fin(q.poset) and is_meet_semidistributive_fin(q.poset)
     assert len(tito_quotient(2, 1, 5).poset) == 14
     assert len(tito_quotient(3, 1, 6).poset) == 120
     with pytest.raises(TooLarge):
@@ -339,9 +336,9 @@ def test_tito_quotient_sizes_and_structure():
 
 
 def test_poset_json_roundtrip():
+    # the covers written out generate the order again
     p = weak_order_poset(3)
-    back = poset_from_json(poset_to_json(p))
+    raw = json.loads(poset_to_json(p))
+    back = poset_from_pairs(raw["elements"], raw["covers"])
     assert back.elements == p.elements
     assert np.array_equal(back.leq, p.leq)
-    with pytest.raises(ParseError):
-        poset_from_json("{}")

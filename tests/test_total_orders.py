@@ -23,7 +23,6 @@ from weakorder.total_orders import (
     leq_tot,
     lower_arcs_tot,
     lower_walls_tot,
-    lt_total,
     meet_tot,
     order_word,
     standard_order,
@@ -44,11 +43,8 @@ def _embed(word):
 
 def test_membership_and_window():
     t = finite_total_order([(0, 1)])
-    assert lt_total(t, 1, 0)
-    assert not lt_total(t, 0, 1)
-    assert lt_total(t, -5, 0)
-    assert lt_total(t, 1, 2)
-    assert not lt_total(t, 3, 3)
+    # 1 before 0, and every other value in its usual place
+    assert order_word(t, -5, 2) == (-5, -4, -3, -2, -1, 1, 0, 2)
     assert support_window(t) == (0, 1)
     assert support_window(standard_order()) is None
     with pytest.raises(NotBiclosed):
