@@ -30,11 +30,11 @@ for n in range(1, 6):
 
 # The bijection is concrete: a biclosed set is somebody's inversion set.
 p = parse_perm("321")
-x = root_set_fin(3, inversions(p).pairs)
+x = root_set_fin(3, inversions(p))
 print(format_perm(p), "has biclosed inversion set:", is_biclosed_fin(x))
 
 # Dropping (1,3) breaks closure: (1,2) and (2,3) chain back to (1,3).
-broken = root_set_fin(3, set(inversions(p).pairs) - {(1, 3)})
+broken = root_set_fin(3, set(inversions(p)) - {(1, 3)})
 print("without (1,3) still biclosed:", is_biclosed_fin(broken))
 
 # A periodic order is flattened to its roots span by span.  Orders that
@@ -68,7 +68,7 @@ words = []
 for rs in enumerate_biclosed_fin(3):
     match = [
         w for w in ("123", "132", "213", "231", "312", "321")
-        if set(inversions(parse_perm(w)).pairs) == set(rs.roots)
+        if set(inversions(parse_perm(w))) == set(rs.roots)
     ]
     words.append(match[0])
 print("biclosed subsets at n=3 name:", " ".join(sorted(words)))

@@ -25,7 +25,7 @@ from weakorder.sn import (
 
 p = parse_perm("25143")
 print("word      ", format_perm(p))
-print("inversions", sorted(inversions(p).pairs))
+print("inversions", sorted(inversions(p)))
 
 # Joins can create inversions neither input has: the closure supplies
 # (1, 3) once (1, 2) and (2, 3) sit together.
@@ -34,9 +34,9 @@ print("join      ", format_perm(join_sn([x, y])), "from 213 and 132")
 print("meet      ", format_perm(meet_sn([parse_perm("231"), parse_perm("312")])))
 
 # Lower walls are covers downward; flipping one undoes a single descent.
-print("lower walls", sorted(lower_walls_sn(p).pairs))
-print("upper walls", sorted(upper_walls_sn(p).pairs))
-a, b = sorted(lower_walls_sn(p).pairs)[0]
+print("lower walls", sorted(lower_walls_sn(p)))
+print("upper walls", sorted(upper_walls_sn(p)))
+a, b = sorted(lower_walls_sn(p))[0]
 print("flip", (a, b), "->", format_perm(swap_values(p, a, b)))
 
 # Each arc determines the smallest permutation with that arc as its only

@@ -98,15 +98,15 @@ _FORMATS = {
     ("render", "arcs"): ("svg",),
     ("render", "hasse"): ("dot",),
 }
-# only sn has upper walls and arcs so far
-_LOWER_ONLY = {(sub, act) for sub in ("tot", "tito") for act in ("walls", "arcs", "cjr")}
+# the only actions that read --upper: sn has upper walls and arcs so far
+_READS_UPPER = {("sn", "walls"), ("sn", "arcs")}
 
 
 def _check_flags(args: argparse.Namespace) -> None:
     action = (args.subcommand, args.action)
     if args.format != "text" and args.format not in _FORMATS.get(action, ()):
         raise ParseError(f"{args.subcommand} {args.action} does not take --format {args.format}")
-    if args.upper and action in _LOWER_ONLY:
+    if args.upper and action not in _READS_UPPER:
         raise ParseError(f"{args.subcommand} {args.action} does not take --upper")
 
 
@@ -134,12 +134,12 @@ def _run_sn(args: argparse.Namespace) -> None:
     elif args.action == "walls":
         p = sn.parse_perm(_take(args, 1)[0])
         walls = sn.upper_walls_sn(p) if args.upper else sn.lower_walls_sn(p)
-        _lines(args, [f"({a},{b})" for a, b in sorted(walls.pairs)])
+        _lines(args, [f"({a},{b})" for a, b in sorted(walls)])
     elif args.action == "flip":
         word, pair = _take(args, 2)
         p = sn.parse_perm(word)
         a, b = _parse_pair(pair)
-        walls = sn.lower_walls_sn(p).pairs | sn.upper_walls_sn(p).pairs
+        walls = sn.lower_walls_sn(p) | sn.upper_walls_sn(p)
         if (a, b) not in walls:
             raise NotAWall(f"({a},{b}) is not a wall of {sn.format_perm(p)}")
         _lines(args, [sn.format_perm(sn.swap_values(p, a, b))])

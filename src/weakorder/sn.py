@@ -17,11 +17,12 @@ way.
 Words are the one primitive, here and for the total orders of Z and the
 lattice lab: ``word_inversions`` reads the inversion set off any word of
 distinct integers, ``word_from_inversions`` sorts values back into the word
-and certifies the round trip, ``interior`` gives a meet's pair set, and
-``word_walls`` and ``word_arcs`` read walls and arcs off adjacent entries.
+and certifies the round trip, ``closure`` and ``interior`` give a join's and
+a meet's pair set from one top-down pass over the values, and ``word_walls``
+and ``word_arcs`` read walls and arcs off adjacent entries.
 
 >>> p = perm_of([2, 1, 3])
->>> sorted(inversions(p).pairs)
+>>> sorted(inversions(p))
 [(1, 2)]
 >>> format_perm(join_sn([perm_of([2, 1, 3]), perm_of([1, 3, 2])]))
 '321'
@@ -101,24 +102,7 @@ def format_perm(p: Permutation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pair sets
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """A set of pairs (a, b) with 1 <= a < b <= n."""
-
-    n: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for a, b in self.pairs:
-            if not 1 <= a < b <= self.n:
-                raise ValueError(f"pair {(a, b)} outside [1..{self.n}]")
-
-
-def all_pairs(n: int) -> frozenset[tuple[int, int]]:
-    return frozenset(combinations(range(1, n + 1), 2))
+# inversion sets
 
 
 def word_inversions(word: Sequence[int]) -> frozenset[tuple[int, int]]:
@@ -159,6 +143,39 @@ def word_from_inversions(
     return word
 
 
+def _reach(ordered: Sequence[int], pairs: frozenset[tuple[int, int]], inside: bool) -> list[int]:
+    # reach[k]: bitmask of the positions m that a chain ordered[k] < z1 < ...
+    # < ordered[m] reaches, each step a pair in ``pairs`` (inside) or a pair
+    # of ``ordered`` not in it; built from the top down
+    reach = [0] * len(ordered)
+    for k in range(len(ordered) - 2, -1, -1):
+        a = ordered[k]
+        for m in range(k + 1, len(ordered)):
+            if ((a, ordered[m]) in pairs) == inside:
+                reach[k] |= reach[m] | 1 << m
+    return reach
+
+
+def closure(
+    values: Iterable[int], pairs: frozenset[tuple[int, int]]
+) -> frozenset[tuple[int, int]]:
+    """Close ``pairs`` (pairs of ``values``) under the chain rule: (a, b) and
+    (b, c) force (a, c), so (a, b) is in when a chain a < z1 < ... < b of the
+    pairs joins them.
+
+    >>> sorted(closure(range(1, 4), frozenset({(1, 2), (2, 3)})))
+    [(1, 2), (1, 3), (2, 3)]
+    """
+    ordered = sorted(values)
+    reach = _reach(ordered, pairs, True)
+    return frozenset(
+        (a, ordered[m])
+        for k, a in enumerate(ordered)
+        for m in range(k + 1, len(ordered))
+        if reach[k] >> m & 1
+    )
+
+
 def interior(
     values: Iterable[int], pairs: frozenset[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
@@ -167,61 +184,17 @@ def interior(
     the pairs (a, b) that no chain a < z1 < ... < b of other pairs joins."""
     ordered = sorted(values)
     at = {v: k for k, v in enumerate(ordered)}
-    # reach[k]: bitmask of the positions a chain of other pairs reaches from
-    # ordered[k], built from the top down
-    reach = [0] * len(ordered)
-    for k in range(len(ordered) - 2, -1, -1):
-        a = ordered[k]
-        for m in range(k + 1, len(ordered)):
-            if (a, ordered[m]) not in pairs:
-                reach[k] |= reach[m] | 1 << m
+    reach = _reach(ordered, pairs, False)
     return frozenset((a, b) for a, b in pairs if not reach[at[a]] >> at[b] & 1)
 
 
-def inversions(p: Permutation) -> PairSet:
+def inversions(p: Permutation) -> frozenset[tuple[int, int]]:
     """The inversion set N(p): pairs (a, b), a < b, with b left of a.
 
-    >>> sorted(inversions(parse_perm("51423")).pairs)
+    >>> sorted(inversions(parse_perm("51423")))
     [(1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
     """
-    return PairSet(p.n, word_inversions(p.one_line))
-
-
-def closure_pairs(ps: PairSet) -> PairSet:
-    """Close under the chain rule: (a,b) and (b,c) force (a,c)."""
-    return PairSet(ps.n, _chain_closure(ps.pairs))
-
-
-def _chain_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    # Shared with the total orders of Z: every forced pair lies inside the
-    # span of the pairs that force it, so the values need no bounds.
-    have = set(pairs)
-    by_left: dict[int, set[int]] = {}
-    by_right: dict[int, set[int]] = {}
-    for a, b in have:
-        by_left.setdefault(a, set()).add(b)
-        by_right.setdefault(b, set()).add(a)
-    queue = list(have)
-    while queue:
-        a, b = queue.pop()
-        new = [(a, c) for c in by_left.get(b, ()) if (a, c) not in have]
-        new += [(z, b) for z in by_right.get(a, ()) if (z, b) not in have]
-        for pair in new:
-            have.add(pair)
-            by_left.setdefault(pair[0], set()).add(pair[1])
-            by_right.setdefault(pair[1], set()).add(pair[0])
-            queue.append(pair)
-    return frozenset(have)
-
-
-def interior_pairs(ps: PairSet) -> PairSet:
-    """The largest subset of ``ps`` whose complement is chain-closed."""
-    return PairSet(ps.n, interior(range(1, ps.n + 1), ps.pairs))
-
-
-def permutation_from_inversions(ps: PairSet) -> Permutation:
-    """The permutation whose inversion set is ``ps``; NotBiclosed when none."""
-    return Permutation(ps.n, word_from_inversions(range(1, ps.n + 1), ps.pairs))
+    return word_inversions(p.one_line)
 
 
 def _common_n(items: Sequence, n: int | None) -> int:
@@ -239,27 +212,23 @@ def _common_n(items: Sequence, n: int | None) -> int:
 def join_sn(perms: Iterable[Permutation], n: int | None = None) -> Permutation:
     """Least upper bound; the empty join is the identity."""
     items = list(perms)
-    size = _common_n(items, n)
-    union: frozenset[tuple[int, int]] = frozenset()
-    for p in items:
-        union |= inversions(p).pairs
-    return permutation_from_inversions(closure_pairs(PairSet(size, union)))
+    values = range(1, _common_n(items, n) + 1)
+    union = frozenset().union(*map(inversions, items))
+    return Permutation(len(values), word_from_inversions(values, closure(values, union)))
 
 
 def meet_sn(perms: Iterable[Permutation], n: int | None = None) -> Permutation:
     """Greatest lower bound; the empty meet is the full reversal."""
     items = list(perms)
-    size = _common_n(items, n)
-    shared = all_pairs(size)
-    for p in items:
-        shared &= inversions(p).pairs
-    return permutation_from_inversions(interior_pairs(PairSet(size, shared)))
+    values = range(1, _common_n(items, n) + 1)
+    shared = frozenset(combinations(values, 2)).intersection(*map(inversions, items))
+    return Permutation(len(values), word_from_inversions(values, interior(values, shared)))
 
 
 def leq_sn(p: Permutation, q: Permutation) -> bool:
     if p.n != q.n:
         raise MixedSizes(f"mixed sizes {p.n} and {q.n}")
-    return inversions(p).pairs <= inversions(q).pairs
+    return inversions(p) <= inversions(q)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +243,17 @@ def word_walls(word: Sequence[int], upper: bool = False) -> frozenset[tuple[int,
     )
 
 
-def lower_walls_sn(p: Permutation) -> PairSet:
+def lower_walls_sn(p: Permutation) -> frozenset[tuple[int, int]]:
     """Pairs (a, b), a < b, with a placed immediately right of b.
 
     Removing such a pair from the inversion set is exactly a downward cover.
     """
-    return PairSet(p.n, word_walls(p.one_line))
+    return word_walls(p.one_line)
 
 
-def upper_walls_sn(p: Permutation) -> PairSet:
+def upper_walls_sn(p: Permutation) -> frozenset[tuple[int, int]]:
     """Pairs (a, b), a < b, with a placed immediately left of b (upward covers)."""
-    return PairSet(p.n, word_walls(p.one_line, upper=True))
+    return word_walls(p.one_line, upper=True)
 
 
 @dataclass(frozen=True)

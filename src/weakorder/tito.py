@@ -464,10 +464,11 @@ def _tito_from_valid_sets(V: Shifts, n: int) -> Tito:
     LO, HI = V
 
     def before(x: int, y: int) -> bool:
-        if x > y:
-            return not before(y, x)
-        i, j, d = _shift_of(x, y, n)
-        return not LO[i][j] <= d <= HI[i][j]
+        # the smaller value comes first unless the pair is an inversion; one
+        # test serves both orders, since a self-call would leave a reference
+        # cycle holding V after each decode
+        i, j, d = _shift_of(min(x, y), max(x, y), n)
+        return (LO[i][j] <= d <= HI[i][j]) == (x > y)
 
     ranked = []
     rest = list(range(1, n + 1))

@@ -10,9 +10,10 @@ over, with arcs allowed to sit anywhere on the line.
 An order is stored only as its inversion set.  The set splits into runs,
 maximal windows covered by overlapping inverted spans [a, b]; values outside
 every run keep their place.  ``finite_total_order`` certifies each run with
-``sn.word_from_inversions``, meets take ``sn.interior`` run by run, and
-walls and arcs are read off each run's order word, so the work grows with
-the pairs and not with the distance between them.
+``sn.word_from_inversions``, joins close run by run with ``sn.closure`` and
+meets take ``sn.interior`` run by run, and walls and arcs are read off each
+run's order word, so the work grows with the pairs and not with the distance
+between them.
 
 >>> t = finite_total_order([(0, 1)])
 >>> order_word(t, -1, 2)
@@ -30,10 +31,10 @@ from typing import Iterable
 from .errors import NotBiclosed, ParseError, PreconditionViolated
 from .sn import (
     Arc,
-    _chain_closure,
     _sort_by_inversions,
     arc,
     arc_word,
+    closure,
     interior,
     noncrossing,
     word_arcs,
@@ -140,10 +141,12 @@ def invs_from_json(text: str) -> FiniteTotalOrder:
 
 
 def join_tot(ts: Iterable[FiniteTotalOrder]) -> FiniteTotalOrder:
-    union: set[tuple[int, int]] = set()
-    for t in ts:
-        union |= t.invs
-    return finite_total_order(_chain_closure(union))
+    """Closure of the union, taken run by run: a chain that forces a pair
+    (a, c) stays inside [a, c], so inside one run, and steps only through
+    the ends of the run's pairs."""
+    union = frozenset().union(*(t.invs for t in ts))
+    closed = [closure({v for pair in inside for v in pair}, inside) for *_, inside in _runs(union)]
+    return finite_total_order(frozenset().union(*closed))
 
 
 def meet_tot(ts: Iterable[FiniteTotalOrder]) -> FiniteTotalOrder:

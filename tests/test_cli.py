@@ -132,17 +132,42 @@ def test_wide_order_word_is_refused_without_listing_its_window(capsys):
 
 
 def test_upper_is_refused_where_only_lower_walls_exist(capsys):
+    # every action the CLI accepts, besides the two that read --upper
     for argv in (
+        ("sn", "join", "213", "132"),
+        ("sn", "meet", "231", "312"),
+        ("sn", "leq", "213", "231"),
+        ("sn", "flip", "1423", "2,4"),
+        ("sn", "cjr", "4312"),
+        ("tot", "join", "2,1", "1,3,2"),
+        ("tot", "meet", "2,1", "1,3,2"),
+        ("tot", "leq", "standard", "2,1"),
         ("tot", "walls", "2,1"),
         ("tot", "arcs", "2,1"),
         ("tot", "cjr", "2,1"),
+        ("tot", "normalize", "2,1"),
+        ("tito", "join", "[2,1]", "[0,3]", "--n", "2"),
+        ("tito", "meet", "[~1][2]", "[~2][1]", "--n", "2"),
+        ("tito", "leq", "[2,1]", "[~2,1]", "--n", "2"),
+        ("tito", "normalize", "[2,1]", "--n", "2"),
         ("tito", "walls", "[~2,1]", "--n", "2"),
+        ("tito", "flip", "[~2,1]", "<1,2>", "--n", "2"),
         ("tito", "arcs", "[2][~1]", "--n", "2"),
         ("tito", "cjr", "[~2,1]", "--n", "2"),
+        ("dyer", "enumerate", "--n", "2"),
+        ("dyer", "join", "[2,1]", "[~1][2]", "--n", "2"),
+        ("dyer", "meet", "[2,1]", "[~1][2]", "--n", "2"),
+        ("dyer", "leq", "[1,2]", "[2,1]", "--n", "2"),
+        ("dyer", "normalize", "[~1][2]", "--n", "2"),
+        ("lab", "quotient", "--kind", "sn", "--n", "3"),
+        ("lab", "check", "--kind", "sn", "--n", "3"),
+        ("render", "arcs", "(1,2||)"),
+        ("render", "hasse", "--n", "2"),
     ):
         got, out, err = run(capsys, *argv, "--upper")
         assert (got, out) == (2, "")
         assert err == f"error: parse error: {argv[0]} {argv[1]} does not take --upper\n"
+    assert run(capsys, "sn", "walls", "1423", "--upper")[:2] == (0, "(1,4)\n(2,3)\n")
     assert run(capsys, "sn", "arcs", "1423", "--upper")[:2] == (0, "(1,4||2 3)\n(2,3||)\n")
 
 

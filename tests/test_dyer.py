@@ -38,7 +38,7 @@ def test_closed_and_coclosed():
 def test_biclosed_are_inversion_sets():
     for n in range(1, 5):
         expected = {
-            frozenset(inversions(perm_of(w)).pairs)
+            frozenset(inversions(perm_of(w)))
             for w in permutations(range(1, n + 1))
         }
         got = enumerate_biclosed_fin(n)

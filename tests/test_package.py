@@ -63,3 +63,14 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert [key for key, yes in called.items() if not yes and key[0] not in kept] == []
     # a kept name leaves the list once it has a caller, or once it is gone
     assert kept <= {name for (name, _), yes in called.items() if not yes}
+
+
+def test_no_assert_in_the_package():
+    # invariants raise domain errors: ``python -O`` strips assert statements
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +16,13 @@ from gen import (
 )
 from weakorder.errors import MixedSizes, NotBiclosed, ParseError
 from weakorder.sn import (
-    PairSet,
-    all_pairs,
     arc,
     arcs_cross,
     canonical_join_rep_sn,
-    closure_pairs,
+    closure,
     format_arc,
     format_perm,
-    interior_pairs,
+    interior,
     inversions,
     ji_from_arc_sn,
     join_sn,
@@ -35,11 +33,11 @@ from weakorder.sn import (
     parse_arc,
     parse_perm,
     perm_of,
-    permutation_from_inversions,
     permutation_from_noncrossing,
     swap_values,
     upper_arcs_sn,
     upper_walls_sn,
+    word_from_inversions,
 )
 
 
@@ -56,32 +54,45 @@ def test_parse_and_format():
 
 
 def test_inversions_of_51423():
-    got = inversions(parse_perm("51423")).pairs
+    got = inversions(parse_perm("51423"))
     assert got == {(1, 5), (4, 5), (2, 5), (3, 5), (2, 4), (3, 4)}
 
 
+def _naive_closure(pairs):
+    # the chain rule run to a fixpoint: add (a, c) for (a, b) and (b, c)
+    have = set(pairs)
+    while True:
+        new = {(a, c) for a, b in have for b2, c in have if b == b2} - have
+        if not new:
+            return have
+        have |= new
+
+
 def test_closure_and_interior():
-    ps = PairSet(3, frozenset({(1, 2), (2, 3)}))
-    assert closure_pairs(ps).pairs == {(1, 2), (2, 3), (1, 3)}
-    assert interior_pairs(PairSet(3, frozenset({(1, 3)}))).pairs == set()
-    biclosed = PairSet(3, frozenset({(1, 2), (1, 3)}))
-    assert interior_pairs(biclosed).pairs == biclosed.pairs
-    # arbitrary pair sets against the definition: all pairs minus the
-    # closure of the complement
+    assert closure(range(1, 4), frozenset({(1, 2), (2, 3)})) == {(1, 2), (2, 3), (1, 3)}
+    assert interior(range(1, 4), frozenset({(1, 3)})) == set()
+    biclosed = frozenset({(1, 2), (1, 3)})
+    assert interior(range(1, 4), biclosed) == biclosed
+    # arbitrary pair sets against the naive fixpoint: the interior is all
+    # pairs minus the closure of the rest; each set is checked on [1..7] and
+    # again shifted onto a window with negative values
     rng = random.Random(11)
-    everything = all_pairs(6)
     for _ in range(300):
-        ps = PairSet(6, frozenset(p for p in sorted(everything) if rng.random() < 0.5))
-        rest = closure_pairs(PairSet(6, everything - ps.pairs)).pairs
-        assert interior_pairs(ps).pairs == everything - rest
+        density = rng.random()
+        base = [p for p in combinations(range(1, 8), 2) if rng.random() < density]
+        for shift in (0, rng.randint(-20, -8)):
+            values = range(1 + shift, 8 + shift)
+            everything = set(combinations(values, 2))
+            ps = frozenset((a + shift, b + shift) for a, b in base)
+            assert closure(values, ps) == _naive_closure(ps)
+            assert interior(values, ps) == everything - _naive_closure(everything - ps)
 
 
 def test_permutation_from_inversions():
     for word in permutations(range(1, 5)):
-        p = perm_of(word)
-        assert permutation_from_inversions(inversions(p)) == p
+        assert word_from_inversions(range(1, 5), inversions(perm_of(word))) == word
     with pytest.raises(NotBiclosed):
-        permutation_from_inversions(PairSet(3, frozenset({(1, 3)})))
+        word_from_inversions(range(1, 4), frozenset({(1, 3)}))
 
 
 def test_join_meet_examples():
@@ -104,13 +115,13 @@ def test_leq():
 
 def test_walls_and_wall_swap():
     p = parse_perm("1423")
-    assert lower_walls_sn(p).pairs == {(2, 4)}
+    assert lower_walls_sn(p) == {(2, 4)}
     assert format_perm(swap_values(p, 2, 4)) == "1243"
-    assert inversions(p).pairs == {(2, 4), (3, 4)}
-    assert inversions(parse_perm("1243")).pairs == {(3, 4)}
+    assert inversions(p) == {(2, 4), (3, 4)}
+    assert inversions(parse_perm("1243")) == {(3, 4)}
     q = parse_perm("25143")
-    assert lower_walls_sn(q).pairs == {(1, 5), (3, 4)}
-    assert upper_walls_sn(q).pairs == {(2, 5), (1, 4)}
+    assert lower_walls_sn(q) == {(1, 5), (3, 4)}
+    assert upper_walls_sn(q) == {(2, 5), (1, 4)}
 
 
 def test_arcs_of_25143():

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from copy import deepcopy
@@ -234,6 +235,24 @@ def test_join_meet_frozen_values():
     assert format_windows(meet_tito([j1, j2])) == "[1,2]"
     with pytest.raises(MixedSizes):
         join_tito([_t("[2,1]", 2), _t("[1,2,3]", 3)])
+
+
+def test_decoding_leaves_no_reference_cycle():
+    # a cycle would hold each decode's shift-set matrix until the collector runs
+    a, b = _t("[2,1,3]", 3), _t("[1,3,2]", 3)
+    wall_order, wall = _t("[1,0,3,2]", 4), reflection_index(2, 3, 4)
+    x = parse_wrapped_arc("<2,7|5 6|3 4>", 4)
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(10):
+            join_tito([a, b])
+            meet_tito([a, b])
+        flip_tito(wall_order, wall)
+        ji_from_wrapped_arc(x, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_leq_chains():

@@ -124,7 +124,7 @@ def test_agreement_with_finite_weak_order():
         for w2 in permutations(range(1, 4)):
             p, q = perm_of(w1), perm_of(w2)
             j = join_tot([_embed(w1), _embed(w2)])
-            assert j.invs == inversions(join_sn([p, q])).pairs
+            assert j.invs == inversions(join_sn([p, q]))
     p = perm_of((2, 5, 1, 4, 3))
     assert lower_arcs_tot(_embed(p.one_line)) == lower_arcs_sn(p)
 
@@ -214,6 +214,10 @@ def test_far_apart_pairs_cost_what_the_pairs_cost():
     assert find_cover_below(standard_order(), t, (far, far + 1)).invs == {(0, 1)}
     with pytest.raises(NotBiclosed, match=r"\[\(0, 1000000\)\]"):
         invs_from_json(f"[[0,{far}]]")
+    # an order built without the check: its join closes over the ends of the
+    # pairs, not over the span between them, so it is refused at once
+    with pytest.raises(NotBiclosed, match=r"\[\(0, 1000000\)\]"):
+        join_tot([FiniteTotalOrder(frozenset({(0, far)}))])
     # a run too wide for its pairs, and a run that fails the round trip; the
     # message names the whole set
     with pytest.raises(NotBiclosed, match=r"\[\(0, 1\), \(5, 7\)\]"):
