@@ -13,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 from . import dyer as dy
 from . import render as rdr
@@ -320,11 +320,17 @@ def _run_render(args: argparse.Namespace) -> None:
 # argument grammar
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # argparse would print its usage block and exit; main prints one line
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # A flat grammar (subcommand and action are plain positionals) parsed
     # with parse_intermixed_args, so flags may come before or after the
     # inputs; subparsers would split the positionals into chunks.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weakorder",
         description="Weak order computations on permutations, total orders, "
         "and translation-invariant total orders.",
@@ -365,8 +371,8 @@ _RUNNERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_intermixed_args(argv)
     try:
+        args = _build_parser().parse_intermixed_args(argv)
         _check_flags(args)
         _RUNNERS[args.subcommand](args)
     except (ParseError, InvalidWindows) as exc:

@@ -9,12 +9,20 @@ the infinite lattices (orderings of an integer window).
 Posets of orderings (S_n and the window quotients) are built by
 ``_word_poset`` from the inversion sets ``sn.word_inversions`` reads off
 their words.  The join and meet tables come from one routine,
-``_least_bounds``, run on the order matrix and on its transpose; each
-FinitePoset caches them, so the lattice check, semidistributivity, canonical
-join representations and congruences build each table once per poset.  The
-cover matrix comes from the one boolean square that also checks
-transitivity, so the irreducibles, the semidistributivity checks, the JSON
-and DOT output and the CLI's cover count cost no further product.
+``_least_bounds``, run on the order matrix and on its transpose: one sweep
+over the down-sets in reverse linear extension leaves the one candidate
+bound in each cell, and one count product of the up-sets decides at once
+which candidates are least.  Each FinitePoset caches the tables, as int16,
+so the lattice check, semidistributivity, canonical join representations
+and congruences build each table once per poset.  The cover matrix comes
+from the one boolean square that also checks transitivity, so the
+irreducibles, the semidistributivity checks, the JSON and DOT output and
+the CLI's cover count cost no further product.
+
+The window quotients of the periodic orders keep the words whose forced
+inversions force nothing more inside the window.  ``_window_words`` grows
+them one value at a time and drops a prefix as soon as it fails, so the
+orderings of the window are never all listed.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,7 +42,15 @@ from .errors import (
     TooLarge,
 )
 from .sn import Permutation, format_perm, word_inversions
-from .tito import Tito, _close, _hulls, _locate, _shift_of, _tito_from_valid_sets
+from .tito import (
+    Shifts,
+    Tito,
+    _close,
+    _locate,
+    _no_shifts,
+    _shift_of,
+    _tito_from_valid_sets,
+)
 
 MAX_POSET = 10_000
 
@@ -137,27 +153,29 @@ def _least_bounds(
     p: FinitePoset, leq: np.ndarray, bound: str, least: str
 ) -> tuple[np.ndarray | None, str | None]:
     # Least upper bounds under ``leq`` (the meets of the reversed order when
-    # given leq.T), or None and the first pair (i <= j) that has none.  Rows
-    # and columns are put in a linear extension, so the first common upper
-    # bound is the least candidate; it is least exactly when the common upper
-    # bounds are no more than the elements above it.
+    # given leq.T), or None and the first pair (i <= j, row-major) that has
+    # none.  Sweeping the elements k in reverse linear extension and writing
+    # k on the pairs of k's down-set leaves in each cell the common upper
+    # bound that comes first in the extension: the one candidate for least.
+    # It is least exactly when every common upper bound lies above it, that
+    # is when |up(i) & up(j)| equals the size of its own up-set.
     n = len(p)
-    order = np.argsort(leq.sum(axis=0), kind="stable")
-    up = leq[np.ix_(order, order)]
-    above = up.sum(axis=1)
-    where = np.empty(n, dtype=int)
-    where[order] = np.arange(n)
-    table = np.empty((n, n), dtype=int)
-    for i in range(n):
-        common = up[where[i]] & up[where[i:]]
-        first = common.argmax(axis=1)
-        has = common[np.arange(n - i), first]
-        is_least = has & (common.sum(axis=1) == above[first])
-        if not is_least.all():
-            j = i + int(np.argmin(is_least))
-            kind = f"{least} {bound}" if has[j - i] else bound
-            return None, f"no {kind} bound for {p.elements[i]!r}, {p.elements[j]!r}"
-        table[i, i:] = table[i:, i] = order[first]
+    table = np.full((n, n), -1, dtype=np.int16)  # MAX_POSET < 2**15
+    for k in np.argsort(leq.sum(axis=0), kind="stable")[::-1]:
+        down = np.flatnonzero(leq[:, k])
+        table[np.ix_(down, down)] = k
+    # counts in float32, exact as in _bool_square; a cell with no bound
+    # holds -1 and a count of 0, which no up-set size matches
+    f = leq.astype(np.float32)
+    common = f @ f.T
+    del f
+    is_least = common == leq.sum(axis=1, dtype=np.float32)[table]
+    del common
+    if not is_least.all():
+        # the matrix is symmetric, so its first failing cell has i <= j
+        i, j = divmod(int(np.argmin(is_least)), n)
+        kind = f"{least} {bound}" if table[i, j] >= 0 else bound
+        return None, f"no {kind} bound for {p.elements[i]!r}, {p.elements[j]!r}"
     # cached on the poset and shared by every caller, so read-only like leq
     table.setflags(write=False)
     return table, None
@@ -431,10 +449,43 @@ def tito_window_word(t: Tito, a: int, b: int) -> tuple[int, ...]:
     return tuple(sorted(range(a, b + 1), key=lambda x: _locate(t, x)))
 
 
-def _forces_more(V: tuple, shifts: list, inverted: list[bool]) -> bool:
-    # some window pair's shift lies in V exactly when the word keeps it in order
+def _holds_any(V: Shifts, shifts: Iterable[tuple[int, int, int]]) -> bool:
     lo, hi = V
-    return any((lo[i][j] <= d <= hi[i][j]) != inv for inv, (i, j, d) in zip(inverted, shifts))
+    return any(lo[i][j] <= d <= hi[i][j] for i, j, d in shifts)
+
+
+def _with_shift(V: Shifts, i: int, j: int, d: int) -> Shifts:
+    # V with d added to the hull of V[i][j]; row i is copied, and the other
+    # rows are shared with V, which no caller writes to
+    lo, hi = V[0][:], V[1][:]
+    lo[i], hi[i] = lo[i][:], hi[i][:]
+    lo[i][j], hi[i][j] = min(lo[i][j], d), max(hi[i][j], d)
+    return lo, hi
+
+
+def _window_words(values: range, n: int) -> list[tuple[tuple[int, ...], Shifts, list]]:
+    # The words of ``values`` whose forced shifts' hull holds the shift of no
+    # pair the word keeps in order, each with that hull and its kept shifts.
+    # Words grow by one value v at a time: placed at p, v comes before the
+    # entries from p on, which inverts their pairs with v and keeps the rest.
+    shift = {(x, y): _shift_of(x, y, n) for x, y in combinations(values, 2)}
+    grown = [((values[0],), _no_shifts(n), [])]
+    for v in values[1:]:
+        level = []
+        for word, V, kept in grown:
+            for p in range(len(word), -1, -1):
+                if p < len(word):
+                    V = _with_shift(V, *shift[word[p], v])
+                    # V only grows as p falls and the prefix's kept pairs
+                    # stay kept, so no smaller p can pass either
+                    if _holds_any(V, kept):
+                        break
+                more = [shift[x, v] for x in word[:p]]
+                if not _holds_any(V, more):
+                    level.append((word[:p] + (v,) + word[p:], V, kept + more))
+        grown = level
+    grown.sort(key=lambda item: item[0])
+    return grown
 
 
 def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:
@@ -446,30 +497,29 @@ def tito_quotient(n: int, a: int, b: int) -> TitoQuotient:
     closure then decodes to the minimal order of the class, and any order
     inducing the word sits above it.  Classes are ordered by containment of
     their window inversions, which agrees with the order on the minimal
-    representatives.
+    representatives.  Seeding the closure with hulls only adds, and the
+    minimal order's shift sets are intervals, so the words kept and their
+    closures are exact.
 
-    Seeding the closure with hulls only adds, and the minimal order's shift
-    sets are intervals, so the words kept and their closures are exact.
+    The words are grown by placing a, a+1, ..., b one value at a time, and a
+    prefix is dropped as soon as the hull of its forced shifts holds a pair
+    that it keeps in order.  That is sound because hulls and closures only
+    grow as inversions are added, while the pairs a prefix has placed stay
+    placed: every word that extends the prefix fails the same test.  Words
+    that survive to full length are closed, rechecked and decoded; they are
+    listed in the order of ``itertools.permutations`` of the window.
     """
     values = _window(a, b)
     if n < 1:
         raise PreconditionViolated("need n >= 1")
     if n > 7:
         raise TooLarge(f"period {n} (limit 7)")
-    # each pair of the window as (x, y) by offset from a, and its shift
-    offsets = [(x - a, y - a) for x, y in combinations(values, 2)]
-    shifts = [_shift_of(x + a, y + a, n) for x, y in offsets]
     words: list[tuple[int, ...]] = []
     reps: dict[str, Tito] = {}
-    for word in permutations(values):
-        at = sorted(range(len(word)), key=word.__getitem__)  # offset -> place
-        inverted = [at[y] < at[x] for x, y in offsets]
-        V = _hulls(compress(shifts, inverted), n)
-        # the hull of the forced shifts may already hold a pair the word keeps
-        if _forces_more(V, shifts, inverted):
-            continue
+    for word, (lo, hi), kept in _window_words(values, n):
+        V = [row[:] for row in lo], [row[:] for row in hi]
         _close(V, n)
-        if _forces_more(V, shifts, inverted):
+        if _holds_any(V, kept):
             continue
         words.append(word)
         reps[window_word_label(word)] = _tito_from_valid_sets(V, n)

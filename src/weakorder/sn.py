@@ -42,7 +42,12 @@ from .errors import (
     NotBiclosed,
     OutOfRange,
     ParseError,
+    TooLarge,
 )
+
+# The most values an arc, a drawing or a size given alone may span: each is
+# written value by value, and a few digits can ask for millions of them.
+MAX_SPAN = 10_000
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -198,7 +203,8 @@ def inversions(p: Permutation) -> frozenset[tuple[int, int]]:
 
 
 def _common_n(items: Sequence, n: int | None) -> int:
-    # The one size shared by the items (anything with an ``n``) and n.
+    # The one size shared by the items (anything with an ``n``) and n.  With
+    # no items, n alone sets the size of the answer, so it is bounded.
     sizes = {x.n for x in items}
     if n is not None:
         sizes.add(n)
@@ -206,13 +212,18 @@ def _common_n(items: Sequence, n: int | None) -> int:
         raise MixedSizes(f"mixed sizes {sorted(sizes)}")
     if not sizes:
         raise ValueError("empty input needs an explicit n")
-    return sizes.pop()
+    size = sizes.pop()
+    if not items and size > MAX_SPAN:
+        raise TooLarge(f"size {size} with no input (limit {MAX_SPAN})")
+    return size
 
 
 def join_sn(perms: Iterable[Permutation], n: int | None = None) -> Permutation:
     """Least upper bound; the empty join is the identity."""
     items = list(perms)
     values = range(1, _common_n(items, n) + 1)
+    if not items:
+        return Permutation(len(values), tuple(values))
     union = frozenset().union(*map(inversions, items))
     return Permutation(len(values), word_from_inversions(values, closure(values, union)))
 
@@ -221,6 +232,8 @@ def meet_sn(perms: Iterable[Permutation], n: int | None = None) -> Permutation:
     """Greatest lower bound; the empty meet is the full reversal."""
     items = list(perms)
     values = range(1, _common_n(items, n) + 1)
+    if not items:
+        return Permutation(len(values), tuple(values[::-1]))
     shared = frozenset(combinations(values, 2)).intersection(*map(inversions, items))
     return Permutation(len(values), word_from_inversions(values, interior(values, shared)))
 

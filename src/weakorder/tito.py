@@ -45,14 +45,10 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .sn import _arc_key, _common_n
+from .sn import MAX_SPAN, _arc_key, _common_n
 
 WAXING = "waxing"
 WANING = "waning"
-
-# The most values an arc or a drawing may span: both are written value by
-# value, and a window of a few digits can have a wall spanning millions.
-MAX_SPAN = 10_000
 
 
 def _check_span(what: str, span: int) -> None:
@@ -144,9 +140,13 @@ class Tito:
                 if r in seen:
                     raise InvalidWindows(f"residue class of {e} repeated")
                 seen.add(r)
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
-            raise InvalidWindows(f"residue classes {missing} missing")
+        missing = self.n - len(seen)
+        if missing:
+            # n may be huge, so count the missing classes and name the first
+            # three, which lie among the first len(seen) + 3
+            named = [r for r in range(1, min(self.n, len(seen) + 3) + 1) if r not in seen]
+            more = f" and {missing - len(named)} more" if missing > len(named) else ""
+            raise InvalidWindows(f"residue classes {named}{more} missing")
 
     @cached_property
     def _placements(self) -> dict[int, tuple[int, str, int, int]]:

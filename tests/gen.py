@@ -11,14 +11,16 @@ Reading's arc-ideal description of the congruences of the weak order on
 S_n (``arc_ideal``, ``congruence_pi_down``), checked against the lab's
 brute-force congruence closure, and ``all_titos``, every periodic order
 whose windows lie in a range of integers.  ``poset_from_pairs`` builds the
-small posets the lab tests start from.
+small posets the lab tests start from.  ``tito_quotient_by_filter`` is the
+reference for the lab's window quotients: it tries every ordering of the
+window, where the lab grows words and prunes prefixes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +35,10 @@ from weakorder.tito import (
     Block,
     Tito,
     WrappedArc,
+    _close,
+    _hulls,
+    _shift_of,
+    _tito_from_valid_sets,
     is_wrapped_arc,
     lt_tito,
     normalize_tito,
@@ -391,3 +397,38 @@ def poset_from_pairs(
         if (closure == m).all():
             return finite_poset(labels, m)
         m = closure
+
+
+# ---------------------------------------------------------------------------
+# window quotients of the periodic orders, by filtering every ordering
+
+
+def tito_quotient_by_filter(n: int, a: int, b: int) -> tuple[list[tuple[int, ...]], list[Tito]]:
+    """The words of [a, b] that the period-n window quotient keeps, in
+    ``permutations`` order, with the minimal order of each class.
+
+    Every ordering of the window is tried: its forced shifts' hulls, and then
+    their closure, must hold the shift of no pair the word keeps in order.
+    """
+    values = range(a, b + 1)
+    pairs = list(combinations(values, 2))
+    shifts = [_shift_of(x, y, n) for x, y in pairs]
+    words, reps = [], []
+    for word in permutations(values):
+        at = {v: k for k, v in enumerate(word)}
+        inverted = [at[y] < at[x] for x, y in pairs]
+        V = _hulls(compress(shifts, inverted), n)
+        if _forces_more(V, shifts, inverted):
+            continue
+        _close(V, n)
+        if _forces_more(V, shifts, inverted):
+            continue
+        words.append(word)
+        reps.append(_tito_from_valid_sets(V, n))
+    return words, reps
+
+
+def _forces_more(V, shifts, inverted) -> bool:
+    # some window pair's shift lies in V exactly when the word keeps it in order
+    lo, hi = V
+    return any((lo[i][j] <= d <= hi[i][j]) != inv for inv, (i, j, d) in zip(inverted, shifts))

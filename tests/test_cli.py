@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 from weakorder.cli import main
+from weakorder.sn import MAX_SPAN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -339,6 +340,41 @@ def test_missing_input_is_refused_in_one_line(capsys):
     assert "--n must be positive, got 0" in err
     err = _one_line_refusal(capsys, 2, "render", "arcs", "<1,2||>", "--n", "0")
     assert "--n must be positive, got 0" in err
+
+
+def test_usage_errors_print_one_line(capsys):
+    err = _one_line_refusal(capsys, 2, "foo", "join")
+    assert "parse error: argument subcommand: invalid choice: 'foo'" in err
+    err = _one_line_refusal(capsys, 2, "sn", "join", "--n", "x")
+    assert "parse error: argument --n: invalid int value: 'x'" in err
+
+
+def test_missing_residues_are_counted_not_listed(capsys):
+    err = _one_line_refusal(capsys, 2, "tito", "walls", "[1]", "--n", "1000000")
+    assert err.endswith("residue classes [2, 3, 4] and 999996 more missing\n")
+    err = _one_line_refusal(capsys, 2, "tito", "walls", "[~4]", "--n", "3")
+    assert err.endswith("residue classes [2, 3] missing\n")
+
+
+def test_a_size_set_by_n_alone_is_bounded(capsys):
+    # With no input, n alone sets the size of the answer.  Up to MAX_SPAN the
+    # empty join and meet (bottom and top) are built directly; past it they
+    # are refused before anything of that size is built.
+    values = [str(v) for v in range(1, MAX_SPAN + 1)]
+    answers = {
+        ("sn", "join"): ",".join(values),
+        ("sn", "meet"): ",".join(values[::-1]),
+        ("tito", "join"): "[" + ",".join(values) + "]",
+        ("tito", "meet"): "[~" + ",".join(values[::-1]) + "]",
+    }
+    answers[("dyer", "join")] = "dyer:" + answers[("tito", "join")]
+    answers[("dyer", "meet")] = "dyer:" + answers[("tito", "meet")]
+    for (sub, action), answer in answers.items():
+        start = time.perf_counter()
+        assert run(capsys, sub, action, "--n", str(MAX_SPAN)) == (0, answer + "\n", "")
+        assert time.perf_counter() - start < 1
+        err = _one_line_refusal(capsys, 1, sub, action, "--n", str(MAX_SPAN + 1))
+        assert f"too large: size {MAX_SPAN + 1} with no input (limit {MAX_SPAN})" in err
 
 
 def test_arc_and_drawing_spans_are_bounded(capsys):

@@ -1,10 +1,18 @@
+import gc
 import json
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from gen import all_titos, arc_ideal, congruence_pi_down, poset_from_pairs
+from gen import (
+    all_titos,
+    arc_ideal,
+    congruence_pi_down,
+    poset_from_pairs,
+    tito_quotient_by_filter,
+)
 from weakorder import lattices
 
 from weakorder.errors import (
@@ -92,6 +100,46 @@ def test_check_lattice():
     assert "least upper bound" in report.witness
     two = poset_from_pairs(["a", "b"], [])
     assert not check_lattice(two).is_lattice
+
+
+def _scan_bounds(leq, elements, bound, least):
+    # the least upper bounds under leq by scanning every pair's common upper
+    # bounds, or None and the first pair (i <= j, row-major) with none
+    n = len(elements)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ub = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            lub = [k for k in ub if all(leq[k][u] for u in ub)]
+            if not lub:
+                kind = f"{least} {bound}" if ub else bound
+                return None, f"no {kind} bound for {elements[i]!r}, {elements[j]!r}"
+            table[i][j] = table[j][i] = lub[0]
+    return table, None
+
+
+def test_bound_tables_against_a_scan_of_random_posets():
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(400):
+        size = rng.randint(1, 10)
+        density = rng.choice((0.1, 0.25, 0.5))
+        labels = [f"x{k}" for k in range(size)]
+        pairs = [(labels[i], labels[j]) for i, j in combinations(range(size), 2) if rng.random() < density]
+        rng.shuffle(labels)
+        p = poset_from_pairs(labels, pairs)
+        leq = p.leq.tolist()
+        expected = []
+        for got, order, words in (
+            (p.joins, leq, ("upper", "least")),
+            (p.meets, [list(col) for col in zip(*leq)], ("lower", "greatest")),
+        ):
+            want = _scan_bounds(order, p.elements, *words)
+            assert (None if got[0] is None else got[0].tolist(), got[1]) == want
+            expected.append(want[1])
+        assert check_lattice(p).witness == (expected[0] or expected[1])
+        outcomes |= {w.split(" bound")[0] if w else "table" for w in expected}
+    assert outcomes == {"table", "no upper", "no least upper", "no lower", "no greatest lower"}
 
 
 def test_bound_tables_are_built_once_per_poset(monkeypatch):
@@ -333,6 +381,37 @@ def test_tito_quotient_sizes_and_structure():
         tito_quotient(0, 1, 3)
     with pytest.raises(PreconditionViolated):
         tito_quotient(2, 2, 2)
+
+
+def test_tito_quotient_matches_the_filter_of_every_ordering():
+    for n in range(1, 5):
+        for a in range(-1, n + 1):
+            for b in range(a + 1, a + 6):
+                q = tito_quotient(n, a, b)
+                words, reps = tito_quotient_by_filter(n, a, b)
+                assert q.poset.elements == tuple(",".join(map(str, w)) for w in words)
+                assert [format_windows(q.reps[x]) for x in q.poset.elements] == [
+                    format_windows(t) for t in reps
+                ]
+                inversions = [
+                    {(x, y) for x, y in combinations(range(a, b + 1), 2) if w.index(y) < w.index(x)}
+                    for w in words
+                ]
+                assert q.poset.leq.tolist() == [[u <= v for v in inversions] for u in inversions]
+
+
+def test_quotients_and_tables_leave_no_reference_cycle():
+    # a cycle would hold a search's words and hulls until the collector runs
+    gc.disable()
+    try:
+        gc.collect()
+        for window in [(2, 1, 6), (3, 1, 6), (4, -1, 3)]:
+            poset = tito_quotient(*window).poset
+            assert check_lattice(poset).is_lattice
+        assert not check_lattice(poset_from_pairs(["a", "b"], [])).is_lattice
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_poset_json_roundtrip():
