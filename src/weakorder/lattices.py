@@ -170,7 +170,6 @@ def _least_bounds(
     common = f @ f.T
     del f
     is_least = common == leq.sum(axis=1, dtype=np.float32)[table]
-    del common
     if not is_least.all():
         # the matrix is symmetric, so its first failing cell has i <= j
         i, j = divmod(int(np.argmin(is_least)), n)
